@@ -19,6 +19,7 @@ struct FixedSink {
     return p;
   }
   void append(const void* p, std::size_t n) {
+    if (n == 0) return;  // as WireBuffer::append: `p` may be null
     std::memcpy(grow(n), p, n);
   }
 };

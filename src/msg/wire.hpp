@@ -75,6 +75,7 @@ class WireBuffer {
 
   /// Appends `n` raw bytes.
   void append(const void* p, std::size_t n) {
+    if (n == 0) return;  // memcpy may not take a null `p`, even for 0 bytes
     std::memcpy(grow(n), p, n);
   }
 

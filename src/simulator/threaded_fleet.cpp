@@ -66,6 +66,17 @@ bool ThreadedSimulatorFleet::sleepOrKilled(Job& job, VDuration d) {
 
 void ThreadedSimulatorFleet::launch(SimJobId id, const simmodel::JobSpec& spec) {
   std::lock_guard lock(mutex_);
+  // Reap finished jobs so a long run does not keep one idle thread (and
+  // its stack) per job ever launched. A done job's thread has nothing left
+  // to run, so these joins return at once even under the shard lock.
+  for (auto it = jobs_.begin(); it != jobs_.end();) {
+    if (it->second->done.load()) {
+      it->second->thread.join();
+      it = jobs_.erase(it);
+    } else {
+      ++it;
+    }
+  }
   auto job = std::make_unique<Job>();
   Job* raw = job.get();
   launched_.fetch_add(1);
@@ -73,6 +84,7 @@ void ThreadedSimulatorFleet::launch(SimJobId id, const simmodel::JobSpec& spec) 
   // The thread body runs entirely outside the daemon's shard locks.
   raw->thread = std::thread([this, raw, id, spec] {
     runJob(*raw, id, spec);
+    raw->done.store(true);
     active_.fetch_sub(1);
   });
   jobs_.emplace(id, std::move(job));

@@ -53,10 +53,10 @@ class ThreadedSimulatorFleet final : public dv::SimLauncher {
   void setBatchModel(BatchModel model) { batch_ = model; }
 
   // --- SimLauncher ------------------------------------------------------------
-  /// Non-blocking: spawns the job thread. Called on a daemon worker with
-  /// the owning shard's lock held, so it must never call back into the
-  /// daemon synchronously (job threads report events asynchronously via
-  /// the daemon's shard queues).
+  /// Non-blocking: joins the threads of finished jobs, then spawns the job
+  /// thread. Called on a daemon worker with the owning shard's lock held,
+  /// so it must never call back into the daemon synchronously (job threads
+  /// report events asynchronously via the daemon's shard queues).
   void launch(SimJobId job, const simmodel::JobSpec& spec) override;
   void kill(SimJobId job) override;
 
@@ -77,6 +77,7 @@ class ThreadedSimulatorFleet final : public dv::SimLauncher {
   struct Job {
     std::thread thread;
     std::atomic<bool> killed{false};
+    std::atomic<bool> done{false};  ///< set as the thread body returns
   };
 
   /// Sleeps for `d` (already scaled) or until the job is killed.

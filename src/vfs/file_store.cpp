@@ -2,14 +2,43 @@
 
 #include "common/checksum.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <functional>
 
 namespace simfs::vfs {
 
 namespace fs = std::filesystem;
+
+namespace {
+/// Owns one file descriptor; close() reports the error the destructor
+/// would have to drop.
+class Fd {
+ public:
+  explicit Fd(int fd) noexcept : fd_(fd) {}
+  ~Fd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+
+  [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
+  [[nodiscard]] int get() const noexcept { return fd_; }
+  [[nodiscard]] bool close() noexcept {
+    const int fd = fd_;
+    fd_ = -1;
+    return ::close(fd) == 0;
+  }
+
+ private:
+  int fd_;
+};
+}  // namespace
 
 // ---------------------------------------------------------------- MemFileStore
 
@@ -75,32 +104,60 @@ Result<std::string> DiskFileStore::pathFor(const std::string& name) const {
   return root_ + "/" + name;
 }
 
+std::mutex& DiskFileStore::stripeFor(const std::string& name) const {
+  return stripes_[std::hash<std::string>{}(name) % kLockStripes];
+}
+
 Status DiskFileStore::put(const std::string& name, std::string content) {
   auto path = pathFor(name);
   if (!path) return path.status();
-  std::lock_guard lock(mutex_);
-  std::ofstream out(*path, std::ios::binary | std::ios::trunc);
-  if (!out) return errIoError("disk: cannot open for write: " + *path);
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  if (!out) return errIoError("disk: short write: " + *path);
+  std::lock_guard lock(stripeFor(name));
+  // In place, not O_TRUNC: truncating a file to zero and refilling it
+  // triggers ext4's replace-via-truncate flush (auto_da_alloc), 10-25x
+  // the cost of overwriting the blocks and trimming the tail.
+  Fd fd(::open(path->c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0666));
+  if (!fd.valid()) return errIoError("disk: cannot open for write: " + *path);
+  std::size_t done = 0;
+  while (done < content.size()) {
+    const ssize_t n = ::pwrite(fd.get(), content.data() + done,
+                               content.size() - done, static_cast<off_t>(done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return errIoError("disk: short write: " + *path);
+    done += static_cast<std::size_t>(n);
+  }
+  if (::ftruncate(fd.get(), static_cast<off_t>(content.size())) != 0) {
+    return errIoError("disk: cannot truncate: " + *path);
+  }
+  if (!fd.close()) return errIoError("disk: close failed: " + *path);
   return Status::ok();
 }
 
 Result<std::string> DiskFileStore::read(const std::string& name) const {
   auto path = pathFor(name);
   if (!path) return path.status();
-  std::lock_guard lock(mutex_);
-  std::ifstream in(*path, std::ios::binary);
-  if (!in) return errNotFound("disk: no file " + name);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  std::lock_guard lock(stripeFor(name));
+  Fd fd(::open(path->c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd.valid()) return errNotFound("disk: no file " + name);
+  struct stat st {};
+  if (::fstat(fd.get(), &st) != 0) return errIoError("disk: cannot stat: " + *path);
+  std::string out(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const ssize_t n = ::pread(fd.get(), out.data() + done, out.size() - done,
+                              static_cast<off_t>(done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return errIoError("disk: read failed: " + *path);
+    if (n == 0) break;  // shrunk since fstat by a writer outside this store
+    done += static_cast<std::size_t>(n);
+  }
+  out.resize(done);
+  return out;
 }
 
 bool DiskFileStore::exists(const std::string& name) const {
   auto path = pathFor(name);
   if (!path) return false;
-  std::lock_guard lock(mutex_);
+  std::lock_guard lock(stripeFor(name));
   std::error_code ec;
   return fs::exists(*path, ec);
 }
@@ -114,14 +171,13 @@ Result<FileInfo> DiskFileStore::stat(const std::string& name) const {
 Status DiskFileStore::remove(const std::string& name) {
   auto path = pathFor(name);
   if (!path) return path.status();
-  std::lock_guard lock(mutex_);
+  std::lock_guard lock(stripeFor(name));
   std::error_code ec;
   if (!fs::remove(*path, ec)) return errNotFound("disk: no file " + name);
   return Status::ok();
 }
 
 std::vector<std::string> DiskFileStore::list() const {
-  std::lock_guard lock(mutex_);
   std::vector<std::string> out;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(root_, ec)) {
@@ -132,7 +188,6 @@ std::vector<std::string> DiskFileStore::list() const {
 }
 
 Bytes DiskFileStore::totalBytes() const {
-  std::lock_guard lock(mutex_);
   Bytes total = 0;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(root_, ec)) {

@@ -10,6 +10,7 @@
 #include "common/status.hpp"
 #include "common/types.hpp"
 
+#include <array>
 #include <map>
 #include <mutex>
 #include <string>
@@ -26,8 +27,9 @@ struct FileInfo {
 
 /// Abstract content store keyed by flat file names.
 ///
-/// Thread-safe: implementations serialize internally so DVLib clients and
-/// simulator threads can share one store.
+/// Thread-safe: DVLib clients and simulator threads share one store.
+/// MemFileStore serializes every call; DiskFileStore serializes per file
+/// name and rewrites files in place (see DiskFileStore).
 class FileStore {
  public:
   virtual ~FileStore() = default;
@@ -78,6 +80,15 @@ class MemFileStore final : public FileStore {
 /// Directory-backed store. File names map to paths under `root`; names may
 /// not contain '/' or ".." (flat namespace, as output steps are flat files
 /// within a context's storage area).
+///
+/// put() rewrites an existing file in place (pwrite, then ftruncate to the
+/// new size) instead of truncating it first. Calls on one name exclude each
+/// other through a lock stripe picked by the name's hash; calls on different
+/// names run in parallel unless their names share a stripe. Because a
+/// re-simulation reproduces a step bit for bit, a reader that opens a step
+/// while it is being rewritten, through this store or directly, sees its
+/// full bytes: never a short or empty file. list() and totalBytes() take no
+/// lock and see the directory as it is at that moment.
 class DiskFileStore final : public FileStore {
  public:
   /// Creates the root directory if needed.
@@ -94,10 +105,13 @@ class DiskFileStore final : public FileStore {
   [[nodiscard]] const std::string& root() const noexcept { return root_; }
 
  private:
+  static constexpr std::size_t kLockStripes = 64;
+
   [[nodiscard]] Result<std::string> pathFor(const std::string& name) const;
+  [[nodiscard]] std::mutex& stripeFor(const std::string& name) const;
 
   std::string root_;
-  mutable std::mutex mutex_;
+  mutable std::array<std::mutex, kLockStripes> stripes_;
 };
 
 }  // namespace simfs::vfs

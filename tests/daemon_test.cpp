@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <fstream>
 #include <thread>
 
 namespace simfs::dv {
@@ -462,6 +464,54 @@ TEST_F(SocketDaemonTest, TraceToolRunsOverLiveStack) {
   EXPECT_EQ(report->failures, 0u);
   EXPECT_GT(report->meanOfMeans, 0.0);
   (*client)->finalize();
+}
+
+/// VmSize of this process in KiB, from /proc/self/status.
+std::int64_t vmSizeKiB() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+// Every finished job's thread is joined at the next launch, so a long run
+// holds no dead thread (and its stack) per job it ever launched. Jobs run
+// one at a time: overlapping job threads make glibc reserve new 64 MiB
+// malloc arenas, which would swamp the stacks this test measures.
+TEST(ThreadedFleetTest, LaunchReapsFinishedJobThreads) {
+  Daemon daemon;
+  vfs::MemFileStore store;
+  simulator::ThreadedSimulatorFleet fleet(daemon, store, /*timeScale=*/1e-6);
+  fleet.registerContext(socketConfig());
+  simmodel::JobSpec spec;
+  spec.context = "sock";
+  const auto idle = [&fleet] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fleet.activeJobs() != 0) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  // Warm-up: one job per daemon shard, so every worker thread that handles
+  // job events has its malloc arena before the baseline is taken.
+  SimJobId id = 1;
+  for (int i = 0; i < 16; ++i) {
+    fleet.launch(id++, spec);
+    ASSERT_TRUE(idle());
+  }
+  const std::int64_t before = vmSizeKiB();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 200; ++i) {
+    fleet.launch(id++, spec);
+    ASSERT_TRUE(idle());
+  }
+  fleet.launch(id++, spec);
+  EXPECT_LT(vmSizeKiB() - before, 64 * 1024);
+  ASSERT_TRUE(idle());
 }
 
 }  // namespace

@@ -304,6 +304,16 @@ TEST(WireBufferTest, LargePayloadsSpillAndSurviveMove) {
   EXPECT_EQ(std::string(movedSmall.view()), smallBytes);
 }
 
+TEST(WireBufferTest, AppendingAnEmptyViewChangesNothing) {
+  WireBuffer buf;
+  encodeInto(goldenHello(), buf);
+  const std::string before(buf.view());
+  const std::string_view empty;  // data() is nullptr
+  buf.append(empty.data(), empty.size());
+  EXPECT_EQ(buf.size(), before.size());
+  EXPECT_EQ(std::string(buf.view()), before);
+}
+
 TEST(WireBufferTest, ShrinkDropsOversizedHeap) {
   Message m;
   m.type = MsgType::kSimFileClosed;
