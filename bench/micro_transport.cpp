@@ -121,11 +121,17 @@ struct BenchClient {
       files.push_back(bd.cfg.codec.outputFile(s));
     }
     transport->setViewHandler([this](const msg::MessageView& m) {
-      if (m.type() == msg::MsgType::kHelloAck) {
-        helloOk = m.code() == 0;
-        helloDone.store(true, std::memory_order_release);
-      } else {
-        acks.fetch_add(1, std::memory_order_release);
+      {
+        // Counted under mu: flood()'s cv.wait checks acks under mu, so an
+        // increment outside it can land between that check and the sleep,
+        // and the notify below is lost for good.
+        std::lock_guard lock(mu);
+        if (m.type() == msg::MsgType::kHelloAck) {
+          helloOk = m.code() == 0;
+          helloDone.store(true, std::memory_order_release);
+        } else {
+          acks.fetch_add(1, std::memory_order_release);
+        }
       }
       cv.notify_all();
     });

@@ -51,15 +51,8 @@
 //
 //   simfsctl cluster-status <socket-path>
 //       Resolves the ring through one member, then queries every member
-//       for its aggregate statistics and prints which node owns which
-//       context (consistent-hash placement), which nodes hold its read
-//       lease, and flags contexts with an eviction revocation in flight.
-//
-//   simfsctl replicas <socket-path> <context>
-//       Read-replica lease view of one context: the owner, the replica
-//       set R consecutive ring successors deep, the lease generation and
-//       per-node leased-step counts — the operator's answer to "who can
-//       serve this context's reads right now?".
+//       for its aggregate statistics and handoff counters, and prints
+//       which node owns which context (consistent-hash placement).
 //
 //   simfsctl acquire <socket-path> <context> <file...>
 //       Drives the vectored session API against a live daemon: ALL files
@@ -96,6 +89,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -116,7 +110,6 @@ int usage() {
                "       simfsctl leave <socket-path> <node-id>\n"
                "       simfsctl drain-node <socket-path> <node-id>\n"
                "       simfsctl cluster-status <socket-path>\n"
-               "       simfsctl replicas <socket-path> <context>\n"
                "       simfsctl acquire <socket-path> <context> <file...>\n"
                "       simfsctl ls <socket-path> [<context>]\n"
                "       simfsctl stat <socket-path> <context> <file>\n");
@@ -459,11 +452,9 @@ int daemonShardStats(const std::string& socketPath) {
   return 0;
 }
 
-/// Fetches a daemon's ring (kRingReq); rc != 0 on failure. `replicas`
-/// (optional) receives the federation's read-replica count R, carried
-/// additively in intArg2 (0 from pre-replica daemons).
+/// Fetches a daemon's ring (kRingReq); rc != 0 on failure.
 int fetchRing(const std::string& socketPath, cluster::Ring* ring,
-              std::string* nodeId, std::size_t* replicas = nullptr) {
+              std::string* nodeId) {
   msg::Message reply;
   if (const int rc = daemonCall(socketPath, msg::MsgType::kRingReq, &reply);
       rc != 0) {
@@ -474,9 +465,6 @@ int fetchRing(const std::string& socketPath, cluster::Ring* ring,
     return 1;
   }
   if (nodeId != nullptr) *nodeId = reply.text;
-  if (replicas != nullptr) {
-    *replicas = reply.intArg2 > 0 ? static_cast<std::size_t>(reply.intArg2) : 0;
-  }
   if (reply.files.empty()) {
     *ring = cluster::Ring();  // standalone daemon
     return 0;
@@ -526,60 +514,16 @@ std::map<std::string, std::string> parseKvText(const std::string& text) {
   return kv;
 }
 
-/// One applied/granted lease as a shard-stats line reports it.
-struct LeaseEntry {
-  unsigned long long generation = 0;
-  std::size_t steps = 0;
-  bool replica = false;  // 'r' role: applied grant; 'o': granting owner
-};
-
-/// Decodes one "name:gen:steps:role" lease entry. Parsed from the RIGHT
-/// so a ':' inside a context name cannot shift the numeric fields.
-bool parseLeaseEntry(const std::string& entry, std::string* name,
-                     LeaseEntry* out) {
-  const auto c3 = entry.rfind(':');
-  if (c3 == std::string::npos || c3 + 2 != entry.size()) return false;
-  const auto c2 = entry.rfind(':', c3 - 1);
-  if (c2 == std::string::npos) return false;
-  const auto c1 = entry.rfind(':', c2 - 1);
-  if (c1 == std::string::npos) return false;
-  const char role = entry[c3 + 1];
-  if (role != 'r' && role != 'o') return false;
-  *name = entry.substr(0, c1);
-  out->generation = std::strtoull(entry.c_str() + c1 + 1, nullptr, 10);
-  out->steps = std::strtoull(entry.c_str() + c2 + 1, nullptr, 10);
-  out->replica = role == 'r';
-  return true;
-}
-
-/// Lease-plane view of one node: its shard-stats lines folded into
-/// per-context lease entries plus the node-level kv text.
-struct NodeLeaseView {
-  bool reachable = false;
-  std::map<std::string, std::string> kv;
-  std::map<std::string, LeaseEntry> leases;  // by context
-};
-
-NodeLeaseView fetchLeaseView(const std::string& endpoint) {
-  NodeLeaseView view;
+/// The node-level "key=value;..." text of one daemon's kShardStatsAck;
+/// nullopt when the daemon is unreachable.
+std::optional<std::map<std::string, std::string>> fetchNodeKv(
+    const std::string& endpoint) {
   msg::Message reply;
   if (daemonCall(endpoint, msg::MsgType::kShardStatsReq, &reply) != 0 ||
       reply.type != msg::MsgType::kShardStatsAck) {
-    return view;
+    return std::nullopt;
   }
-  view.reachable = true;
-  view.kv = parseKvText(reply.text);
-  for (const auto& line : reply.files) {
-    const auto shardKv = parseKvText(line);
-    const auto it = shardKv.find("leases");
-    if (it == shardKv.end() || it->second == "-") continue;
-    for (const auto& entry : str::split(it->second, ',')) {
-      std::string name;
-      LeaseEntry lease;
-      if (parseLeaseEntry(entry, &name, &lease)) view.leases[name] = lease;
-    }
-  }
-  return view;
+  return parseKvText(reply.text);
 }
 
 // ------------------------------------------------------- elastic membership
@@ -622,13 +566,13 @@ int membershipChange(const std::string& socketPath, const cluster::Ring& from,
     std::size_t inflight = 0;
     std::size_t unreachable = 0;
     for (const auto& endpoint : members) {
-      const auto view = fetchLeaseView(endpoint);
-      if (!view.reachable) {
+      const auto kv = fetchNodeKv(endpoint);
+      if (!kv) {
         ++unreachable;
         continue;
       }
-      const auto it = view.kv.find("handoffs_inflight");
-      if (it != view.kv.end()) {
+      const auto it = kv->find("handoffs_inflight");
+      if (it != kv->end()) {
         inflight += std::strtoull(it->second.c_str(), nullptr, 10);
       }
     }
@@ -700,82 +644,12 @@ int leaveNode(const std::string& socketPath, const std::string& nodeId) {
   return membershipChange(socketPath, ring, *next);
 }
 
-int replicaStatus(const std::string& socketPath, const std::string& context) {
-  cluster::Ring ring;
-  std::size_t replicas = 0;
-  if (const int rc = fetchRing(socketPath, &ring, nullptr, &replicas);
-      rc != 0) {
-    return rc;
-  }
-  if (ring.empty()) {
-    std::printf("standalone daemon (no ring): no replica plane\n");
-    return 0;
-  }
-  const cluster::NodeInfo owner = ring.ownerOf(context);
-  const auto replicaSet = ring.replicasOf(context, replicas);
-  std::printf("context   %s\n", context.c_str());
-  std::printf("replicas  R=%zu%s\n", replicas,
-              replicas == 0 ? " (replica reads disabled)" : "");
-  std::vector<cluster::NodeInfo> probe{owner};
-  probe.insert(probe.end(), replicaSet.begin(), replicaSet.end());
-  for (const auto& n : probe) {
-    const bool isOwner = n.id == owner.id;
-    const auto view = fetchLeaseView(n.endpoint);
-    if (!view.reachable) {
-      std::printf("%-8s  %-12s %-28s UNREACHABLE\n",
-                  isOwner ? "owner" : "replica", n.id.c_str(),
-                  n.endpoint.c_str());
-      continue;
-    }
-    const auto lease = view.leases.find(context);
-    std::string detail;
-    if (lease == view.leases.end()) {
-      detail = "no lease";
-    } else {
-      detail = str::format("gen=%llu leased_steps=%zu",
-                           lease->second.generation, lease->second.steps);
-    }
-    // An un-acked eviction revoke is only ledgered at the owner.
-    const auto rev = view.kv.find("revoking");
-    if (isOwner && rev != view.kv.end() && rev->second != "-") {
-      for (const auto& name : str::split(rev->second, ',')) {
-        if (name == context) {
-          detail += "  REVOKING";
-          break;
-        }
-      }
-    }
-    std::printf("%-8s  %-12s %-28s %s\n", isOwner ? "owner" : "replica",
-                n.id.c_str(), n.endpoint.c_str(), detail.c_str());
-  }
-  return 0;
-}
-
 int clusterStatus(const std::string& socketPath) {
   cluster::Ring ring;
-  std::size_t replicas = 0;
-  if (const int rc = fetchRing(socketPath, &ring, nullptr, &replicas);
-      rc != 0) {
-    return rc;
-  }
+  if (const int rc = fetchRing(socketPath, &ring, nullptr); rc != 0) return rc;
   if (ring.empty()) {
     std::printf("standalone daemon (no ring); falling back to status\n");
     return daemonStatus(socketPath);
-  }
-  // Contexts with an eviction revocation still in flight anywhere in the
-  // federation (the owner ledgers them until every replica acks), plus
-  // each node's shard-stats kv for the handoffs column below.
-  std::set<std::string> revoking;
-  std::map<std::string, NodeLeaseView> views;  // by node id
-  for (const auto& n : ring.nodes()) {
-    auto view = fetchLeaseView(n.endpoint);
-    const auto rev = view.kv.find("revoking");
-    if (view.reachable && rev != view.kv.end() && rev->second != "-") {
-      for (const auto& name : str::split(rev->second, ',')) {
-        revoking.insert(name);
-      }
-    }
-    views[n.id] = std::move(view);
   }
   for (const auto& n : ring.nodes()) {
     msg::Message reply;
@@ -787,7 +661,8 @@ int clusterStatus(const std::string& socketPath) {
     // Handoff column: elastic-membership transfers this node drove
     // (inflight/committed/aborted); pre-elastic daemons report none.
     std::string handoffs;
-    const auto& kv = views[n.id].kv;
+    const auto kv = fetchNodeKv(n.endpoint).value_or(
+        std::map<std::string, std::string>{});
     if (const auto it = kv.find("handoffs_inflight"); it != kv.end()) {
       const auto committed = kv.find("handoffs_committed");
       const auto aborted = kv.find("handoffs_aborted");
@@ -800,18 +675,8 @@ int clusterStatus(const std::string& socketPath) {
                 reply.text.c_str(), handoffs.c_str());
     for (const auto& ctx : reply.files) {
       const bool owned = ring.ownerOf(ctx).id == n.id;
-      bool leased = false;
-      for (const auto& r : ring.replicasOf(ctx, replicas)) {
-        if (r.id == n.id) {
-          leased = true;
-          break;
-        }
-      }
-      std::printf("    %-20s %s%s\n", ctx.c_str(),
-                  owned    ? "owner"
-                  : leased ? "replica (leased reads)"
-                           : "remote (redirects)",
-                  owned && revoking.count(ctx) != 0 ? "  REVOKING" : "");
+      std::printf("    %-20s %s\n", ctx.c_str(),
+                  owned ? "owner" : "remote (redirects)");
     }
   }
   return 0;
@@ -871,8 +736,8 @@ int acquireFiles(const std::string& socketPath, const std::string& context,
     return 1;
   }
   std::printf("all %zu file(s) available\n", files.size());
-  // The probe was not a lease: release the references again so the
-  // operator command leaves nothing pinned.
+  // Release the references again so the operator command leaves nothing
+  // pinned.
   (void)handle.cancel();
   (*session)->finalize();
   return 0;
@@ -997,9 +862,6 @@ int main(int argc, char** argv) {
   }
   if (cmd == "cluster-status" && argc == 3) {
     return clusterStatus(argv[2]);
-  }
-  if (cmd == "replicas" && argc == 4) {
-    return replicaStatus(argv[2], argv[3]);
   }
   if (cmd == "acquire" && argc >= 5) {
     return acquireFiles(argv[2], argv[3],

@@ -125,33 +125,6 @@ const NodeInfo& Ring::ownerOf(std::string_view context) const {
   return nodes_[it->node];
 }
 
-std::vector<NodeInfo> Ring::replicasOf(std::string_view context,
-                                       std::size_t count) const {
-  std::vector<NodeInfo> out;
-  if (points_.empty() || count == 0 || nodes_.size() < 2) return out;
-  const std::uint64_t h = mix64(fnv1a64(context));
-  auto it = std::lower_bound(
-      points_.begin(), points_.end(), h,
-      [](const Point& p, std::uint64_t value) { return p.hash < value; });
-  if (it == points_.end()) it = points_.begin();
-  const std::uint32_t owner = it->node;
-  // Walk successor points (wrapping) and collect the first `count`
-  // distinct non-owner nodes, in successor order. Bounded by one full
-  // lap: after points_.size() steps every member has been seen.
-  std::vector<bool> seen(nodes_.size(), false);
-  seen[owner] = true;
-  for (std::size_t step = 0;
-       step < points_.size() && out.size() < std::min(count, nodes_.size() - 1);
-       ++step) {
-    ++it;
-    if (it == points_.end()) it = points_.begin();
-    if (seen[it->node]) continue;
-    seen[it->node] = true;
-    out.push_back(nodes_[it->node]);
-  }
-  return out;
-}
-
 const NodeInfo* Ring::find(std::string_view nodeId) const {
   for (const auto& n : nodes_) {
     if (n.id == nodeId) return &n;

@@ -75,15 +75,6 @@ class Ring {
   /// The node owning `context`. Requires !empty().
   [[nodiscard]] const NodeInfo& ownerOf(std::string_view context) const;
 
-  /// The read-replica set for `context`: the next `count` *distinct*
-  /// nodes after the owner in ring-point order (wrapping), owner
-  /// excluded. Fewer than `count` entries when the membership is too
-  /// small; empty for a one-node ring or count == 0. Every node and
-  /// client computes the same set from the same ring — replica
-  /// placement needs no extra wire state beyond the replica count.
-  [[nodiscard]] std::vector<NodeInfo> replicasOf(std::string_view context,
-                                                 std::size_t count) const;
-
   /// Membership lookup by node id; nullptr if unknown.
   [[nodiscard]] const NodeInfo* find(std::string_view nodeId) const;
 

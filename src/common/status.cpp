@@ -18,7 +18,6 @@ const char* statusCodeName(StatusCode code) noexcept {
     case StatusCode::kIoError: return "io_error";
     case StatusCode::kInternal: return "internal";
     case StatusCode::kUnreachable: return "unreachable";
-    case StatusCode::kNotLeased: return "not_leased";
   }
   return "unknown";
 }

@@ -33,9 +33,6 @@ enum class StatusCode : int {
   kUnreachable,     // retry budget exhausted: the op terminally failed to
                     // reach a daemon (distinct from kUnavailable, which is
                     // transient and retried)
-  kNotLeased,       // replica node: step is not covered by an active
-                    // read lease; the client retries the batch at the
-                    // ring owner
 };
 
 /// Returns a stable lowercase name for a StatusCode (for logs and tests).
@@ -113,9 +110,6 @@ class Status {
 }
 [[nodiscard]] inline Status errUnreachable(std::string m) {
   return {StatusCode::kUnreachable, std::move(m)};
-}
-[[nodiscard]] inline Status errNotLeased(std::string m) {
-  return {StatusCode::kNotLeased, std::move(m)};
 }
 
 /// Value-or-error. Like std::expected (which libstdc++ 12 lacks).

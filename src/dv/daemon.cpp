@@ -10,6 +10,7 @@
 #include <array>
 #include <chrono>
 #include <limits>
+#include <set>
 
 namespace simfs::dv {
 
@@ -54,8 +55,6 @@ msg::MsgType ackTypeFor(msg::MsgType request) noexcept {
     case msg::MsgType::kShardStatsReq: return msg::MsgType::kShardStatsAck;
     case msg::MsgType::kRingReq: return msg::MsgType::kRingUpdate;
     case msg::MsgType::kGeometryReq: return msg::MsgType::kGeometryAck;
-    case msg::MsgType::kLeaseGrant:
-    case msg::MsgType::kLeaseRevoke: return msg::MsgType::kLeaseAck;
     // Handled inline at dispatch (never queued, so never shed); listed so
     // generic error replies still carry the matching ack type.
     case msg::MsgType::kRingPropose: return msg::MsgType::kRingProposeAck;
@@ -64,15 +63,6 @@ msg::MsgType ackTypeFor(msg::MsgType request) noexcept {
       return msg::MsgType::kContextHandoffAck;
     default: return msg::MsgType::kError;
   }
-}
-
-/// Effective read-replica count R: Options wins when >= 0, otherwise the
-/// SIMFS_REPLICAS environment knob (absent / <= 0 means disabled).
-std::size_t resolveReplicas(int fromOptions) {
-  const std::int64_t v = fromOptions >= 0
-                             ? fromOptions
-                             : env::getInt("SIMFS_REPLICAS").value_or(0);
-  return v <= 0 ? 0 : static_cast<std::size_t>(v);
 }
 
 std::size_t resolveQueueCap(std::size_t fromOptions) {
@@ -114,9 +104,6 @@ struct Daemon::Session {
   /// after an elastic ring change. Written and read only by the single
   /// worker draining the bound shard.
   std::string context;
-  /// Serving a peer-owned context off a local read lease (set at dispatch
-  /// before the hello is queued; read by the worker's kHello handler).
-  std::atomic<bool> replica{false};
 
   /// Recently-answered kOpenBatchReq acks, by requestId: a client that
   /// resends a batch under the same id (per-op timeout retry, rebind
@@ -202,44 +189,23 @@ Daemon::Daemon(const Options& options)
     nodeId_.clear();
     ring_ = std::make_shared<const cluster::Ring>();
   }
-  replicasConfigured_ = resolveReplicas(options.replicas);
-  replicas_.store(effectiveReplicas(*ring_), std::memory_order_relaxed);
   core_.setNotifyFn([this](ClientId c, const std::string& f, const Status& s) {
     onNotify(c, f, s);
   });
   if (!nodeId_.empty()) {
-    // Owner-side lease emission, installed on EVERY federated daemon even
-    // when R == 0 today: a committed membership change can raise the
-    // effective R (a 1-node ring growing), and the same callback feeds
-    // the handoff delta plane. The callback fires with a shard lock held
-    // (revokes strictly BEFORE the eviction mutates the step), so it only
-    // queues and wakes — the maintenance thread does the peer sends.
-    core_.setLeaseFn([this](const std::string& ctx, std::uint64_t gen,
-                            const std::vector<StepIndex>& steps, bool revoke) {
-      if (membershipChanged_.load(std::memory_order_relaxed)) {
-        // Production on a context whose snapshot already streamed out is
-        // forwarded to its new owner as an epoch-tagged delta frame, so
-        // steps landing between export and drain-out are never lost.
-        std::lock_guard lock(handoffMutex_);
-        const auto it = handedOffTo_.find(ctx);
-        if (it != handedOffTo_.end()) {
-          if (!revoke && !steps.empty()) {
-            handoffDeltas_.push_back(HandoffDelta{
-                ctx, it->second.id, it->second.endpoint, it->second.epoch,
-                steps});
-            wakeMaintenance();
-          }
-          return;  // handed off: no replica lease traffic for it anymore
-        }
-      }
-      if (replicas_.load(std::memory_order_relaxed) == 0) return;
-      const auto ring = ringRef();
-      const cluster::NodeInfo* owner = nullptr;
-      if (ownedElsewhere(*ring, ctx, &owner)) return;  // replica-side change
-      {
-        std::lock_guard lock(leaseMutex_);
-        leaseOutbox_.push_back(LeaseCmd{ctx, gen, steps, revoke});
-      }
+    // Production on a context whose snapshot already streamed out is
+    // forwarded to its new owner as an epoch-tagged delta frame, so steps
+    // landing between export and commit are never lost. The hook fires
+    // with a shard lock held, so it only queues and wakes — the
+    // maintenance thread does the peer sends.
+    core_.setProducedFn([this](const std::string& ctx, StepIndex step) {
+      if (!membershipChanged_.load(std::memory_order_relaxed)) return;
+      std::lock_guard lock(handoffMutex_);
+      const auto it = handedOffTo_.find(ctx);
+      if (it == handedOffTo_.end()) return;
+      handoffDeltas_.push_back(HandoffDelta{ctx, it->second.id,
+                                            it->second.endpoint,
+                                            it->second.epoch, step});
       wakeMaintenance();
     });
   }
@@ -490,29 +456,16 @@ void Daemon::dispatch(const std::shared_ptr<Session>& session,
         (void)session->transport->send(reply);
         return;
       }
-      // Federation: a context hashed onto a peer is normally not served
-      // here — the client is told who owns it (plus the full ring so it
-      // can resolve everything else without more round trips) and
-      // re-dials. Exception: a replica-capable client may read a
-      // peer-owned context HERE when this node is one of its R ring
-      // successors and holds an active lease; the session is flagged so
-      // the shard serves it in replica mode (lease lookups only, misses
-      // answer kNotLeased instead of re-simulating).
+      // Federation: a context hashed onto a peer is not served here —
+      // the client is told who owns it (plus the full ring so it can
+      // resolve everything else without more round trips) and re-dials.
       const auto ringSnap = ringRef();
       const cluster::NodeInfo* owner = nullptr;
       if (ownedElsewhere(*ringSnap, m.context(), &owner)) {
-        const bool replicaRead =
-            replicas_.load(std::memory_order_relaxed) > 0 &&
-            (m.intArg2() & msg::kHelloCapReplica) != 0 &&
-            isReplicaFor(m.context()) &&
-            hasActiveLease(std::string(m.context()));
-        if (!replicaRead) {
-          redirects_.fetch_add(1, std::memory_order_relaxed);
-          (void)session->transport->send(
-              buildRedirect(m.requestId(), m.context(), *owner, *ringSnap));
-          return;
-        }
-        session->replica.store(true);
+        redirects_.fetch_add(1, std::memory_order_relaxed);
+        (void)session->transport->send(
+            buildRedirect(m.requestId(), m.context(), *owner, *ringSnap));
+        return;
       }
       const std::string context(m.context());
       const auto idx = core_.shardOfContext(context);
@@ -542,14 +495,6 @@ void Daemon::dispatch(const std::shared_ptr<Session>& session,
         session->shard.store(static_cast<int>(*idx));
       } else {
         target = static_cast<std::size_t>(bound);
-      }
-      if (bound < 0 && replicas_.load(std::memory_order_relaxed) > 0) {
-        // Advertise the replica count R up front: a requestId-0
-        // kRingUpdate push rides the connection FIFO ahead of the
-        // worker's kHelloAck, so the client learns R (intArg2) without
-        // an extra round trip or ever being redirected. R = 0 daemons
-        // push nothing — the legacy hello exchange stays byte-identical.
-        (void)session->transport->send(buildRingUpdate(0));
       }
       if (!enqueueClient(target, session, m) && bound < 0) {
         // Shed hello: unbind again so a client retry can rebind cleanly.
@@ -627,18 +572,6 @@ void Daemon::dispatch(const std::shared_ptr<Session>& session,
     }
     case msg::MsgType::kPong:
       return;  // stray pong on a serving session: ignore
-    // Lease plane, owner -> replica. Applied inline under the owning
-    // shard's lock: lease traffic runs at owner-event frequency, not
-    // request frequency, and inline application keeps the revoke -> ack
-    // path independent of worker queue depth (revoke-before-mutate must
-    // not wait behind a deep serving queue).
-    case msg::MsgType::kLeaseGrant:
-    case msg::MsgType::kLeaseRevoke: {
-      handleLeaseOp(session, m);
-      return;
-    }
-    case msg::MsgType::kLeaseAck:
-      return;  // owners consume acks on their peer links; stray here
     // Elastic membership: admin path and the owner-to-owner transfer
     // plane, all inline on the dispatch thread — admin/peer-frequency
     // traffic whose ordering against serving batches does not matter
@@ -693,11 +626,6 @@ bool Daemon::ownedElsewhere(const cluster::Ring& ring,
   if (o.id == nodeId_) return false;
   *owner = &o;
   return true;
-}
-
-std::size_t Daemon::effectiveReplicas(const cluster::Ring& ring) const {
-  if (nodeId_.empty() || ring.size() < 2) return 0;  // nobody to lease to
-  return std::min(replicasConfigured_, ring.size() - 1);
 }
 
 void Daemon::forwardToPeer(const cluster::NodeInfo& owner,
@@ -775,7 +703,7 @@ void Daemon::maintenanceLoop() {
       maintWake_ = false;
     }
     if (federated) {
-      flushLeaseOutbox();
+      flushHandoffDeltas();
       runHandoffs();
       dialPendingPeers();
       const VTime now = clock_.now();
@@ -820,27 +748,14 @@ void Daemon::dialPendingPeers() {
     }
     std::vector<msg::Message> flush;
     std::size_t dropped = 0;
-    bool declaredDead = false;
     if (link) {
       // The peer treats the link as any inbound session. The handler
-      // feeds heartbeat pongs back into the health state and lease acks
-      // into the revocation ledger; everything else (error replies to
-      // fire-and-forget forwards) is dropped.
+      // feeds heartbeat pongs back into the health state and handoff acks
+      // into the transfer state machine; everything else (error replies
+      // to fire-and-forget forwards) is dropped.
       link->setHandler([this, endpoint](msg::Message&& reply) {
         if (reply.type == msg::MsgType::kContextHandoffAck) {
           onHandoffAck(reply);
-          return;
-        }
-        if (reply.type == msg::MsgType::kLeaseAck) {
-          leaseAcksReceived_.fetch_add(1, std::memory_order_relaxed);
-          if (reply.intArg2 == 1) {  // revoke ack: context converged there
-            std::lock_guard lock(leaseMutex_);
-            const auto it = pendingRevokes_.find(reply.context);
-            if (it != pendingRevokes_.end()) {
-              it->second.erase(endpoint);
-              if (it->second.empty()) pendingRevokes_.erase(it);
-            }
-          }
           return;
         }
         if (reply.type != msg::MsgType::kPong) return;
@@ -878,12 +793,10 @@ void Daemon::dialPendingPeers() {
       peer.nextDialAt = clock_.now() + peer.dialBackoff;
       if (peer.dialFails >= kDialFailsToDead) {
         peer.health = PeerHealth::kDead;
-        declaredDead = true;
         dropped = peer.pending.size();
         peer.pending.clear();
       }
     }
-    if (declaredDead) clearPendingRevokes(endpoint);
     if (dropped > 0) {
       forwardDrops_.fetch_add(dropped, std::memory_order_relaxed);
       SIMFS_LOG_WARN(kTag, "peer declared dead; dropped %zu queued forwards",
@@ -896,18 +809,12 @@ void Daemon::dialPendingPeers() {
         forwardDrops_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    // Fresh link: (re)establish this peer's view of every lease we own
-    // for it — queued grants may have been dropped while it was down.
-    if (link && replicas_.load(std::memory_order_relaxed) > 0) {
-      resyncLeasesTo(endpoint, link);
-    }
   }
 }
 
 void Daemon::heartbeatPeers() {
   // Collect sends under the lock, send outside it.
   std::vector<std::pair<std::shared_ptr<msg::Transport>, std::uint64_t>> pings;
-  std::vector<std::string> died;
   std::size_t dropped = 0;
   {
     std::lock_guard lock(peersMutex_);
@@ -924,7 +831,6 @@ void Daemon::heartbeatPeers() {
           peer.nextDialAt = clock_.now() + peer.dialBackoff;
           dropped += peer.pending.size();
           peer.pending.clear();
-          died.push_back(endpoint);
           SIMFS_LOG_WARN(kTag, "peer heartbeat lost; link closed");
           continue;
         }
@@ -934,9 +840,6 @@ void Daemon::heartbeatPeers() {
       pings.emplace_back(peer.transport, peer.pingSeq);
     }
   }
-  // A dead peer's leases die with it: its un-acked revokes can never
-  // complete, so stop flagging their contexts as "revoking".
-  for (const auto& endpoint : died) clearPendingRevokes(endpoint);
   if (dropped > 0) {
     forwardDrops_.fetch_add(dropped, std::memory_order_relaxed);
   }
@@ -952,11 +855,7 @@ void Daemon::heartbeatPeers() {
   }
 }
 
-// -------------------------------------------------------------- lease plane
-
-void Daemon::flushLeaseOutbox() {
-  // Handoff delta frames first: a step produced on a handed-off context
-  // reaches its new owner ahead of any unrelated lease chatter.
+void Daemon::flushHandoffDeltas() {
   std::vector<HandoffDelta> deltas;
   {
     std::lock_guard lock(handoffMutex_);
@@ -968,160 +867,9 @@ void Daemon::flushLeaseOutbox() {
     frame.context = d.context;
     frame.intArg = static_cast<std::int64_t>(d.epoch);
     frame.text = nodeId_;
-    frame.ints.reserve(d.steps.size());
-    for (const StepIndex s : d.steps) {
-      frame.ints.push_back(static_cast<std::int64_t>(s));
-    }
+    frame.ints.push_back(static_cast<std::int64_t>(d.step));
     forwardToPeer(cluster::NodeInfo{d.targetId, d.targetEndpoint}, frame);
   }
-  std::vector<LeaseCmd> cmds;
-  {
-    std::lock_guard lock(leaseMutex_);
-    cmds.swap(leaseOutbox_);
-  }
-  const auto ringSnap = ringRef();
-  const std::size_t replicas = replicas_.load(std::memory_order_relaxed);
-  for (const auto& cmd : cmds) {
-    const auto replicaSet = ringSnap->replicasOf(cmd.context, replicas);
-    if (replicaSet.empty()) continue;
-    msg::Message m;
-    m.type = cmd.revoke ? msg::MsgType::kLeaseRevoke
-                        : msg::MsgType::kLeaseGrant;
-    m.context = cmd.context;
-    m.intArg = static_cast<std::int64_t>(cmd.generation);
-    m.text = nodeId_;
-    m.ints.reserve(cmd.steps.size());
-    for (const StepIndex s : cmd.steps) {
-      m.ints.push_back(static_cast<std::int64_t>(s));
-    }
-    if (cmd.revoke && !cmd.steps.empty()) {
-      // Eviction revoke: flag the context as "revoking" until every
-      // replica acks. Operator introspection only — correctness rests on
-      // the generation fence, not on this ledger.
-      std::lock_guard lock(leaseMutex_);
-      auto& eps = pendingRevokes_[cmd.context];
-      for (const auto& r : replicaSet) eps.insert(r.endpoint);
-    }
-    for (const auto& r : replicaSet) {
-      forwardToPeer(r, m);
-      (cmd.revoke ? leaseRevokesSent_ : leaseGrantsSent_)
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-void Daemon::resyncLeasesTo(const std::string& endpoint,
-                            const std::shared_ptr<msg::Transport>& link) {
-  const auto ringSnap = ringRef();
-  const std::size_t replicas = replicas_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < core_.numShards(); ++i) {
-    std::vector<std::string> names;
-    {
-      std::lock_guard lock(core_.mutexOf(i));
-      names = core_.shard(i).contextNames();
-    }
-    for (const auto& name : names) {
-      const cluster::NodeInfo* owner = nullptr;
-      if (ownedElsewhere(*ringSnap, name, &owner)) continue;  // not ours
-      const auto replicaSet = ringSnap->replicasOf(name, replicas);
-      const bool covers = std::any_of(
-          replicaSet.begin(), replicaSet.end(),
-          [&](const cluster::NodeInfo& n) { return n.endpoint == endpoint; });
-      if (!covers) continue;
-      std::uint64_t gen = 0;
-      std::vector<StepIndex> steps;
-      {
-        std::lock_guard lock(core_.mutexOf(i));
-        const auto view = core_.shard(i).leaseView(name);
-        if (!view) continue;  // context never emitted a lease
-        gen = view->generation;
-        steps = core_.shard(i).availableSteps(name);
-      }
-      // Revoke-all then full grant, both at the current generation: the
-      // pair is idempotent under the fence, and the wipe clears grants
-      // the replica kept across drops this owner never saw.
-      msg::Message wipe;
-      wipe.type = msg::MsgType::kLeaseRevoke;
-      wipe.context = name;
-      wipe.intArg = static_cast<std::int64_t>(gen);
-      wipe.text = nodeId_;
-      wipe.hops = 1;
-      if (!link->send(wipe).isOk()) return;  // link died: next dial resyncs
-      leaseRevokesSent_.fetch_add(1, std::memory_order_relaxed);
-      if (steps.empty()) continue;
-      msg::Message grant;
-      grant.type = msg::MsgType::kLeaseGrant;
-      grant.context = name;
-      grant.intArg = static_cast<std::int64_t>(gen);
-      grant.text = nodeId_;
-      grant.hops = 1;
-      grant.ints.reserve(steps.size());
-      for (const StepIndex s : steps) {
-        grant.ints.push_back(static_cast<std::int64_t>(s));
-      }
-      if (!link->send(grant).isOk()) return;
-      leaseGrantsSent_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-void Daemon::clearPendingRevokes(const std::string& endpoint) {
-  std::lock_guard lock(leaseMutex_);
-  for (auto it = pendingRevokes_.begin(); it != pendingRevokes_.end();) {
-    it->second.erase(endpoint);
-    it = it->second.empty() ? pendingRevokes_.erase(it) : std::next(it);
-  }
-}
-
-bool Daemon::isReplicaFor(std::string_view context) const {
-  const auto ringSnap = ringRef();
-  const auto replicaSet = ringSnap->replicasOf(
-      context, replicas_.load(std::memory_order_relaxed));
-  return std::any_of(
-      replicaSet.begin(), replicaSet.end(),
-      [&](const cluster::NodeInfo& n) { return n.id == nodeId_; });
-}
-
-bool Daemon::hasActiveLease(const std::string& context) const {
-  const auto idx = core_.shardOfContext(context);
-  if (!idx) return false;
-  std::lock_guard lock(core_.mutexOf(*idx));
-  const auto view = core_.shard(*idx).leaseView(context);
-  return view && view->replica && view->steps > 0;
-}
-
-void Daemon::handleLeaseOp(const std::shared_ptr<Session>& session,
-                           const msg::MessageView& m) {
-  const bool grant = m.type() == msg::MsgType::kLeaseGrant;
-  msg::Message ack;
-  ack.type = msg::MsgType::kLeaseAck;
-  ack.requestId = m.requestId();
-  ack.context.assign(m.context());
-  ack.intArg = m.intArg();  // echo the generation
-  ack.intArg2 = grant ? 0 : 1;
-  ack.text = nodeId_;
-  Status st = Status::ok();
-  const std::string context(m.context());
-  const auto idx = core_.shardOfContext(context);
-  if (nodeId_.empty()) {
-    st = errFailedPrecondition("dv: lease op on standalone daemon");
-  } else if (!idx) {
-    st = errNotFound("dv: no context: " + context);
-  } else {
-    std::vector<std::int64_t> steps;
-    steps.reserve(m.intCount());
-    for (auto it = m.intsBegin(); it != m.intsEnd(); ++it) {
-      steps.push_back(*it);
-    }
-    const auto gen = static_cast<std::uint64_t>(m.intArg());
-    std::lock_guard lock(core_.mutexOf(*idx));
-    DvShard& shard = core_.shard(*idx);
-    st = grant ? shard.applyLeaseGrant(context, gen, steps)
-               : shard.applyLeaseRevoke(context, gen, steps);
-  }
-  ack.code = codeOf(st);
-  if (!st.isOk()) ack.text = st.message();
-  (void)session->transport->send(ack);
 }
 
 // ------------------------------------------------------- elastic membership
@@ -1170,7 +918,8 @@ void Daemon::handleRingPropose(const std::shared_ptr<Session>& session,
   } else {
     proposed = std::move(*parsed);
     // The work list is computed OUTSIDE handoffMutex_ (contextNames takes
-    // shard locks; the LeaseFn locks handoffMutex_ under a shard lock).
+    // shard locks; the produced hook locks handoffMutex_ under a shard
+    // lock).
     moved = cluster::Ring::movedContexts(*current, proposed,
                                          core_.contextNames());
     std::lock_guard lock(handoffMutex_);
@@ -1245,13 +994,12 @@ void Daemon::handleRingCommit(const std::shared_ptr<Session>& session,
     const auto moved = cluster::Ring::movedContexts(*current, *parsed,
                                                     core_.contextNames());
     auto next = std::make_shared<const cluster::Ring>(std::move(*parsed));
-    // Adopt the ring FIRST: lease grants emitted while the staged imports
-    // apply below must already see this node as the owner.
+    // Adopt the ring FIRST: the staged imports applied below must already
+    // see this node as the owner.
     {
       std::lock_guard lock(ringMutex_);
       ring_ = next;
     }
-    replicas_.store(effectiveReplicas(*next), std::memory_order_relaxed);
     membershipChanged_.store(true, std::memory_order_relaxed);
     std::map<std::string, StagedHandoff> staged;
     {
@@ -1312,7 +1060,7 @@ void Daemon::handleRingCommit(const std::shared_ptr<Session>& session,
       DvShard& shard = core_.shard(*idx);
       (void)shard.importContextSteps(ctx, steps);
       if (s.complete) {
-        (void)shard.adoptContextOwnership(ctx, s.leaseGen, s.pendingWaiters);
+        (void)shard.adoptContextOwnership(ctx, s.pendingWaiters);
       }
     }
     ack.intArg = static_cast<std::int64_t>(version);
@@ -1346,16 +1094,14 @@ void Daemon::handleContextHandoff(const std::shared_ptr<Session>& session,
   std::vector<std::int64_t> ints;
   ints.reserve(m.intCount());
   for (auto it = m.intsBegin(); it != m.intsEnd(); ++it) ints.push_back(*it);
-  std::uint64_t leaseGen = 0;
   std::vector<std::pair<StepIndex, std::uint32_t>> pendingWaiters;
   Status st = Status::ok();
   if (isFinal) {
-    // Final frame: ints = [leaseGen, totalRefs, (step, waiters)...].
-    if (ints.size() < 2 || (ints.size() - 2) % 2 != 0) {
+    // Final frame: ints = [totalRefs, (step, waiters)...].
+    if (ints.empty() || (ints.size() - 1) % 2 != 0) {
       st = errInvalidArgument("dv: malformed handoff final frame");
     } else {
-      leaseGen = static_cast<std::uint64_t>(ints[0]);
-      for (std::size_t i = 2; i + 1 < ints.size(); i += 2) {
+      for (std::size_t i = 1; i + 1 < ints.size(); i += 2) {
         pendingWaiters.emplace_back(
             static_cast<StepIndex>(ints[i]),
             static_cast<std::uint32_t>(ints[i + 1]));
@@ -1386,8 +1132,7 @@ void Daemon::handleContextHandoff(const std::shared_ptr<Session>& session,
     } else {
       std::lock_guard lock(core_.mutexOf(*idx));
       DvShard& shard = core_.shard(*idx);
-      st = isFinal ? shard.adoptContextOwnership(context, leaseGen,
-                                                 pendingWaiters)
+      st = isFinal ? shard.adoptContextOwnership(context, pendingWaiters)
                    : shard.importContextSteps(context, ints);
     }
   } else {
@@ -1403,7 +1148,6 @@ void Daemon::handleContextHandoff(const std::shared_ptr<Session>& session,
     }
     s.from = std::string(m.text());
     if (isFinal) {
-      s.leaseGen = leaseGen;
       s.pendingWaiters = std::move(pendingWaiters);
       s.complete = true;
     } else {
@@ -1450,8 +1194,7 @@ void Daemon::runHandoffs() {
     // mirage): settle as committed without a single frame — the new
     // owner serves from scratch, which IS the complete state.
     const bool trivial = snap && snap->available.empty() &&
-                         snap->pendingWaiters.empty() && snap->refs == 0 &&
-                         snap->leaseGen <= 1;
+                         snap->pendingWaiters.empty() && snap->refs == 0;
     bool failed = !snap;
     bool streamed = false;
     if (snap && !trivial) {
@@ -1484,8 +1227,7 @@ void Daemon::runHandoffs() {
         fin.intArg = static_cast<std::int64_t>(op.epoch);
         fin.intArg2 = 1;
         fin.text = nodeId_;
-        fin.ints.reserve(2 + 2 * snap->pendingWaiters.size());
-        fin.ints.push_back(static_cast<std::int64_t>(snap->leaseGen));
+        fin.ints.reserve(1 + 2 * snap->pendingWaiters.size());
         fin.ints.push_back(static_cast<std::int64_t>(snap->refs));
         for (const auto& [step, waiters] : snap->pendingWaiters) {
           fin.ints.push_back(static_cast<std::int64_t>(step));
@@ -1587,10 +1329,6 @@ msg::Message Daemon::buildRedirect(std::uint64_t requestId,
   reply.text = owner.id;
   reply.files = ring.encodeEntries();
   reply.intArg = static_cast<std::int64_t>(ring.version());
-  // Read-replica count R, additive: 0 whenever replicas are disabled, so
-  // those redirects stay byte-identical to pre-replica daemons.
-  reply.intArg2 =
-      static_cast<std::int64_t>(replicas_.load(std::memory_order_relaxed));
   reply.code = codeOf(Status::ok());
   return reply;
 }
@@ -1612,8 +1350,6 @@ msg::MessageRef Daemon::buildRedirectRef(msg::Arena& arena,
   }
   reply.files = files;
   reply.intArg = static_cast<std::int64_t>(ring.version());
-  reply.intArg2 =
-      static_cast<std::int64_t>(replicas_.load(std::memory_order_relaxed));
   reply.code = codeOf(Status::ok());
   return reply;
 }
@@ -1626,8 +1362,6 @@ msg::Message Daemon::buildRingUpdate(std::uint64_t requestId) const {
   reply.text = nodeId_;
   reply.files = ringSnap->encodeEntries();
   reply.intArg = static_cast<std::int64_t>(ringSnap->version());
-  reply.intArg2 =
-      static_cast<std::int64_t>(replicas_.load(std::memory_order_relaxed));
   reply.code = codeOf(Status::ok());
   return reply;
 }
@@ -1639,16 +1373,9 @@ Daemon::FederationCounters Daemon::federationCounters() const {
   c.forwardDrops = forwardDrops_.load(std::memory_order_relaxed);
   c.pingsSent = pingsSent_.load(std::memory_order_relaxed);
   c.pongsReceived = pongsReceived_.load(std::memory_order_relaxed);
-  c.leaseGrantsSent = leaseGrantsSent_.load(std::memory_order_relaxed);
-  c.leaseRevokesSent = leaseRevokesSent_.load(std::memory_order_relaxed);
-  c.leaseAcksReceived = leaseAcksReceived_.load(std::memory_order_relaxed);
   c.handoffsInflight = inflightHandoffs();
   c.handoffsCommitted = handoffsCommitted_.load(std::memory_order_relaxed);
   c.handoffsAborted = handoffsAborted_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard lock(leaseMutex_);
-    c.contextsRevoking = pendingRevokes_.size();
-  }
   std::lock_guard lock(peersMutex_);
   for (const auto& [endpoint, peer] : peers_) {
     if (peer.health == PeerHealth::kSuspect) ++c.peersSuspect;
@@ -1908,10 +1635,9 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
   // kRedirect (carrying the new table) instead of being served here — the
   // client rebinds and resends under the same requestId. Release-side ops
   // (kReleaseReq, kCancelReq, kCloseNotify) still run locally so pinned
-  // residue drains, and replica-session reads keep working by design. The
-  // sticky membershipChanged_ gate keeps this off every pre-elastic path.
+  // residue drains. The sticky membershipChanged_ gate keeps this off
+  // every pre-elastic path.
   if (membershipChanged_.load(std::memory_order_relaxed) && client != 0 &&
-      !session->replica.load() &&
       (m.type == msg::MsgType::kOpenReq ||
        m.type == msg::MsgType::kOpenBatchReq ||
        m.type == msg::MsgType::kAcquireReq)) {
@@ -1963,8 +1689,7 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
         reply.text = arena.copyString(st.message());
         break;
       }
-      auto id = shard.clientConnect(std::string(m.context),
-                                    session->replica.load());
+      auto id = shard.clientConnect(std::string(m.context));
       if (id.isOk()) {
         session->shard.store(static_cast<int>(shardIndex));
         session->client.store(*id);
@@ -2276,13 +2001,6 @@ std::vector<Daemon::ShardCounters> Daemon::shardCounters() const {
       c.accesses = s.opens;
       c.misses = s.misses;
       c.resimSteps = s.stepsProduced;
-      const LeaseCounters& lc = core_.shard(i).leaseCounters();
-      c.replicaHits = lc.replicaHits;
-      c.notLeased = lc.notLeased;
-      c.leases = core_.shard(i).leaseViews();
-      for (const auto& [name, v] : c.leases) {
-        if (v.replica) c.leasedSteps += v.steps;
-      }
     }
     out.push_back(std::move(c));
   }
@@ -2306,23 +2024,12 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
   const auto counters = shardCounters();
   const auto fed = federationCounters();
   reply.intArg = static_cast<std::int64_t>(counters.size());
-  // Contexts with un-acked eviction revokes, for `simfsctl cluster-status`.
-  std::string revoking;
-  {
-    std::lock_guard lock(leaseMutex_);
-    for (const auto& [name, eps] : pendingRevokes_) {
-      if (!revoking.empty()) revoking += ',';
-      revoking += name;
-    }
-  }
-  if (revoking.empty()) revoking = "-";
   reply.text = str::format(
       "shards=%zu;workers=%zu;node=%s;ring=%zu;redirects=%llu;"
       "forwarded=%llu;forward_drops=%llu;pings=%llu;pongs=%llu;"
       "peers_suspect=%llu;peers_dead=%llu;"
       "conn_socket=%llu;conn_shm=%llu;conn_other=%llu;reactor=%.*s;"
-      "replicas=%zu;lease_grants=%llu;lease_revokes=%llu;lease_acks=%llu;"
-      "revoking=%s;proto=%lld;handoffs_inflight=%zu;handoffs_committed=%llu;"
+      "proto=%lld;handoffs_inflight=%zu;handoffs_committed=%llu;"
       "handoffs_aborted=%llu",
       serving_.size(), workers_.size(),
       nodeId_.empty() ? "-" : nodeId_.c_str(), ringRef()->size(),
@@ -2340,11 +2047,6 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
           connOther_.load(std::memory_order_relaxed)),
       static_cast<int>(msg::reactorBackendName().size()),
       msg::reactorBackendName().data(),
-      replicas_.load(std::memory_order_relaxed),
-      static_cast<unsigned long long>(fed.leaseGrantsSent),
-      static_cast<unsigned long long>(fed.leaseRevokesSent),
-      static_cast<unsigned long long>(fed.leaseAcksReceived),
-      revoking.c_str(),
       static_cast<long long>(msg::kProtocolVersionMax), fed.handoffsInflight,
       static_cast<unsigned long long>(fed.handoffsCommitted),
       static_cast<unsigned long long>(fed.handoffsAborted));
@@ -2354,19 +2056,10 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
       if (!contexts.empty()) contexts += ',';
       contexts += name;
     }
-    std::string leases;
-    for (const auto& [name, v] : c.leases) {
-      if (!leases.empty()) leases += ',';
-      leases += str::format("%s:%llu:%zu:%c", name.c_str(),
-                            static_cast<unsigned long long>(v.generation),
-                            v.steps, v.replica ? 'r' : 'o');
-    }
-    if (leases.empty()) leases = "-";
     reply.files.push_back(str::format(
         "shard=%zu;contexts=%s;queued=%zu;enqueued=%llu;served=%llu;"
         "batches=%llu;max_batch=%llu;shed=%llu;resident_steps=%zu;"
-        "accesses=%llu;misses=%llu;resim_steps=%llu;"
-        "replica_hits=%llu;not_leased=%llu;leased_steps=%zu;leases=%s",
+        "accesses=%llu;misses=%llu;resim_steps=%llu",
         c.shard, contexts.c_str(), c.queued,
         static_cast<unsigned long long>(c.enqueued),
         static_cast<unsigned long long>(c.served),
@@ -2375,10 +2068,7 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
         static_cast<unsigned long long>(c.shed), c.residentSteps,
         static_cast<unsigned long long>(c.accesses),
         static_cast<unsigned long long>(c.misses),
-        static_cast<unsigned long long>(c.resimSteps),
-        static_cast<unsigned long long>(c.replicaHits),
-        static_cast<unsigned long long>(c.notLeased), c.leasedSteps,
-        leases.c_str()));
+        static_cast<unsigned long long>(c.resimSteps)));
   }
   return reply;
 }

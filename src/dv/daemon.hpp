@@ -50,7 +50,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,12 +75,6 @@ class Daemon {
     std::string nodeId;
     /// Cluster membership; consulted only when nodeId is non-empty.
     cluster::Ring ring;
-    /// Read-replica count R: the owner of a context pushes resident-step
-    /// leases to the next R distinct ring successors, which then serve
-    /// leased kOpenBatchReq traffic locally. -1 = take SIMFS_REPLICAS
-    /// from the environment (default 0 = replicas disabled). Clamped to
-    /// ring size - 1; forced to 0 on non-federated daemons.
-    int replicas = -1;
   };
 
   /// Per-shard serving counters (also exposed over the wire via
@@ -101,12 +94,6 @@ class Daemon {
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;
     std::uint64_t resimSteps = 0;
-    /// Replica-lease serving counters (0 when replicas are disabled).
-    std::uint64_t replicaHits = 0;  ///< opens served locally off a lease
-    std::uint64_t notLeased = 0;    ///< opens bounced back to the owner
-    std::size_t leasedSteps = 0;    ///< steps currently leased in
-    /// Per-context lease detail (contexts with lease activity only).
-    std::vector<std::pair<std::string, LeaseView>> leases;
   };
 
   /// Node-level federation counters.
@@ -118,10 +105,6 @@ class Daemon {
     std::uint64_t pongsReceived = 0; ///< peer heartbeats answered
     std::uint64_t peersSuspect = 0;  ///< peers currently missing pongs
     std::uint64_t peersDead = 0;     ///< peers currently declared dead
-    std::uint64_t leaseGrantsSent = 0;    ///< kLeaseGrant messages pushed
-    std::uint64_t leaseRevokesSent = 0;   ///< kLeaseRevoke messages pushed
-    std::uint64_t leaseAcksReceived = 0;  ///< kLeaseAck consumed on peer links
-    std::uint64_t contextsRevoking = 0;   ///< contexts with un-acked revokes
     /// Elastic-membership handoff progress (old-owner side).
     std::uint64_t handoffsInflight = 0;   ///< transfers queued / streaming
     std::uint64_t handoffsCommitted = 0;  ///< transfers acked by the new owner
@@ -198,11 +181,6 @@ class Daemon {
     return *ring_;
   }
   [[nodiscard]] std::size_t queueCap() const noexcept { return queueCap_; }
-  /// Effective read-replica count R (0 = replica serving disabled).
-  /// Re-clamped on every committed membership change.
-  [[nodiscard]] std::size_t replicas() const noexcept {
-    return replicas_.load(std::memory_order_relaxed);
-  }
 
   /// The autotuner observation window between two shard-counter samples
   /// (`prev` all-zero for the first window).
@@ -237,10 +215,6 @@ class Daemon {
     return ring_;
   }
 
-  /// The replica count `ring` supports on this daemon (configured R
-  /// clamped to ring size - 1; 0 when standalone or single-node).
-  [[nodiscard]] std::size_t effectiveReplicas(const cluster::Ring& ring) const;
-
   /// Relays a fire-and-forget message to `owner` over the cached peer
   /// link. Never dials on this (dispatching / reactor) thread: with no
   /// open link the message is queued (bounded) and the maintenance thread
@@ -263,37 +237,9 @@ class Daemon {
   /// ping went unanswered (healthy -> suspect -> dead).
   void heartbeatPeers();
 
-  /// Drains leaseOutbox_ on the maintenance thread: each queued grant /
-  /// revoke is fanned out to the context's R ring successors over the
-  /// cached peer links (forwardToPeer semantics — queued for dial when no
-  /// link is open). Eviction revokes are recorded in pendingRevokes_
-  /// until every replica acks.
-  void flushLeaseOutbox();
-
-  /// Peer link just (re)established: push a revoke-all + full resident
-  /// grant for every locally-owned context whose replica set includes
-  /// `endpoint`, so replicas that missed queued grants (drops, restarts)
-  /// converge. Both messages are generation-fenced, hence idempotent.
-  void resyncLeasesTo(const std::string& endpoint,
-                      const std::shared_ptr<msg::Transport>& link);
-
-  /// Peer declared dead: its un-acked revokes can never complete; stop
-  /// flagging their contexts as "revoking" (the peer's leases die with it).
-  void clearPendingRevokes(const std::string& endpoint);
-
-  /// True when this node is one of the R ring successors for `context`.
-  [[nodiscard]] bool isReplicaFor(std::string_view context) const;
-
-  /// True when this node currently holds a non-empty replica lease for
-  /// `context` (takes the owning shard's lock briefly).
-  [[nodiscard]] bool hasActiveLease(const std::string& context) const;
-
-  /// Applies an inbound kLeaseGrant / kLeaseRevoke under the owning
-  /// shard's lock and acks with kLeaseAck (intArg echoes the generation,
-  /// intArg2=1 marks a revoke ack). Runs inline on the dispatch thread —
-  /// lease traffic is rare relative to serving traffic.
-  void handleLeaseOp(const std::shared_ptr<Session>& session,
-                     const msg::MessageView& m);
+  /// Sends the queued handoff delta frames (post-export production on a
+  /// handed-off context) to their new owners, on the maintenance thread.
+  void flushHandoffDeltas();
 
   // --- elastic membership (kRingPropose / kRingCommit / kContextHandoff) -----
 
@@ -305,10 +251,10 @@ class Daemon {
   void handleRingPropose(const std::shared_ptr<Session>& session,
                          const msg::MessageView& m);
 
-  /// Commits a membership change: swaps the ring holder, re-clamps the
-  /// replica count, applies epoch-matching staged imports (ring first, so
-  /// lease grants emitted by the imports already see this node as owner),
-  /// settles outbound transfers, and relays (hops == 0).
+  /// Commits a membership change: swaps the ring holder, applies
+  /// epoch-matching staged imports (ring first, so production the imports
+  /// trigger already sees this node as owner), settles outbound
+  /// transfers, and relays (hops == 0).
   void handleRingCommit(const std::shared_ptr<Session>& session,
                         const msg::MessageView& m);
 
@@ -390,18 +336,6 @@ class Daemon {
   std::shared_ptr<const cluster::Ring> ring_;
   mutable std::mutex ringMutex_;
   std::size_t queueCap_ = 0;  ///< 0 = unbounded
-  std::size_t replicasConfigured_ = 0;  ///< requested R before ring clamping
-  std::atomic<std::size_t> replicas_{0};  ///< effective R (0 = disabled)
-
-  /// One owner-side lease command, queued by the LeaseFn (which fires
-  /// with a shard lock held) and flushed by the maintenance thread so
-  /// peer sends never happen under a shard lock.
-  struct LeaseCmd {
-    std::string context;
-    std::uint64_t generation = 0;
-    std::vector<StepIndex> steps;
-    bool revoke = false;
-  };
 
   /// Peer liveness, judged by heartbeat pongs and dial outcomes.
   enum class PeerHealth { kHealthy, kSuspect, kDead };
@@ -431,18 +365,8 @@ class Daemon {
   std::atomic<std::uint64_t> forwardDrops_{0};
   std::atomic<std::uint64_t> pingsSent_{0};
   std::atomic<std::uint64_t> pongsReceived_{0};
-  std::atomic<std::uint64_t> leaseGrantsSent_{0};
-  std::atomic<std::uint64_t> leaseRevokesSent_{0};
-  std::atomic<std::uint64_t> leaseAcksReceived_{0};
   mutable std::mutex peersMutex_;
   std::map<std::string, PeerLink> peers_;  ///< by endpoint
-
-  /// Lease plane state. Lock order: shard lock -> leaseMutex_; never
-  /// held across a send or while holding peersMutex_.
-  mutable std::mutex leaseMutex_;
-  std::vector<LeaseCmd> leaseOutbox_;
-  /// Contexts with eviction revokes not yet acked, by replica endpoint.
-  std::map<std::string, std::set<std::string>> pendingRevokes_;
 
   // --- elastic-membership handoff state ---------------------------------------
 
@@ -463,7 +387,6 @@ class Daemon {
   struct StagedHandoff {
     std::uint64_t epoch = 0;
     std::string from;            ///< old owner's node id
-    std::uint64_t leaseGen = 0;  ///< old owner's grant fence (final frame)
     std::vector<StepIndex> steps;
     std::vector<std::pair<StepIndex, std::uint32_t>> pendingWaiters;
     bool complete = false;       ///< final frame seen
@@ -484,7 +407,7 @@ class Daemon {
     std::string targetId;
     std::string targetEndpoint;
     std::uint64_t epoch = 0;
-    std::vector<StepIndex> steps;
+    StepIndex step = 0;
   };
 
   /// A staged membership change between kRingPropose and kRingCommit.
@@ -495,7 +418,7 @@ class Daemon {
   };
 
   /// Guards everything below. Lock order: shard lock -> handoffMutex_
-  /// (the LeaseFn fires under a shard lock); never hold handoffMutex_
+  /// (the produced hook fires under a shard lock); never hold handoffMutex_
   /// while taking a shard lock or across a send.
   mutable std::mutex handoffMutex_;
   std::vector<HandoffOp> handoffs_;

@@ -64,7 +64,6 @@ Status DvShard::seedAvailableStep(const std::string& context, StepIndex step) {
   fs.kind = FileState::Kind::kAvailable;
   fs.producer = 0;
   (void)ctx->area.addStep(step, cfg.outputStepBytes);
-  emitLeaseGrant(*ctx, step);
   processEvictions(*ctx, ctx->cache->insert(
                              step, static_cast<double>(
                                        cfg.geometry.missCostSteps(step))));
@@ -79,8 +78,7 @@ Status DvShard::setChecksumMap(const std::string& context,
   return Status::ok();
 }
 
-Result<ClientId> DvShard::clientConnect(const std::string& context,
-                                        bool replica) {
+Result<ClientId> DvShard::clientConnect(const std::string& context) {
   auto* ctx = findContext(context);
   if (ctx == nullptr) return errNotFound("dv: no context: " + context);
   const ClientId id = nextClient_;
@@ -88,7 +86,6 @@ Result<ClientId> DvShard::clientConnect(const std::string& context,
   ClientInfo info;
   info.id = id;
   info.ctx = ctx;
-  info.replica = replica;
   info.agent = std::make_unique<prefetch::PrefetchAgent>(ctx->driver->config());
   const auto it = clients_.emplace(id, std::move(info)).first;
   ctx->clients.push_back(&it->second);
@@ -102,12 +99,9 @@ void DvShard::clientDisconnect(ClientId client) {
   if (info == nullptr) return;
   auto* ctx = info->ctx;
   SIMFS_CHECK(ctx != nullptr);
-  // Drop every reference the client still holds (replica refs are pure
-  // lease accounting — there is no pinned cache slot behind them).
-  if (!info->replica) {
-    for (const auto& [step, count] : info->refs) {
-      for (int i = 0; i < count; ++i) ctx->cache->unpin(step);
-    }
+  // Drop every reference the client still holds.
+  for (const auto& [step, count] : info->refs) {
+    for (int i = 0; i < count; ++i) ctx->cache->unpin(step);
   }
   // Remove it from the waiter lists it is actually enqueued on.
   for (const StepIndex step : info->waitingSteps) {
@@ -139,7 +133,6 @@ OpenResult DvShard::clientOpen(ClientId client, std::string_view file,
     res.status = errFailedPrecondition("dv: unknown client");
     return res;
   }
-  if (info->replica) return replicaOpen(*info, file);
   ContextState* ctx = info->ctx;
   SIMFS_CHECK(ctx != nullptr);
   const auto& cfg = ctx->driver->config();
@@ -228,38 +221,6 @@ OpenResult DvShard::clientOpen(ClientId client, std::string_view file,
   return res;
 }
 
-OpenResult DvShard::replicaOpen(ClientInfo& info, std::string_view file) {
-  OpenResult res;
-  ContextState* ctx = info.ctx;
-  SIMFS_CHECK(ctx != nullptr);
-  const auto& cfg = ctx->driver->config();
-  // Restart files are on every node's disk by the paper's storage model.
-  if (cfg.codec.isRestartFile(file)) {
-    res.status = Status::ok();
-    res.available = true;
-    return res;
-  }
-  const auto key = ctx->driver->key(file);
-  if (!key) {
-    res.status = key.status();
-    return res;
-  }
-  if (ctx->leased.count(*key) > 0) {
-    // Leased and resident at the owner: serve locally. No cache pin (the
-    // replica's cache holds nothing), no prefetch agent, no allocation.
-    ++leaseCounters_.replicaHits;
-    ++info.refs[*key];
-    res.status = Status::ok();
-    res.available = true;
-    return res;
-  }
-  // Not covered (miss, write trigger, or the lease was just revoked):
-  // bounce to the owner. The empty message keeps this path alloc-free.
-  ++leaseCounters_.notLeased;
-  res.status = Status(StatusCode::kNotLeased, std::string());
-  return res;
-}
-
 void DvShard::addWaiter(ContextState& /*ctx*/, StepIndex step, FileState& fs,
                         ClientInfo& client, VTime deadline) {
   fs.waiters.push_back(Waiter{client.id, deadline});
@@ -285,7 +246,7 @@ Status DvShard::clientRelease(ClientId client, std::string_view file) {
     return errFailedPrecondition("dv: release without open: " + std::string(file));
   }
   --rit->second;  // zero-count entries linger: keeps the hot path node-free
-  if (!info->replica) ctx->cache->unpin(step);
+  ctx->cache->unpin(step);
   return Status::ok();
 }
 
@@ -336,7 +297,7 @@ Status DvShard::clientCancel(ClientId client, std::string_view file) {
   const auto rit = info->refs.find(step);
   if (rit != info->refs.end() && rit->second > 0) {
     --rit->second;
-    if (!info->replica) ctx->cache->unpin(step);
+    ctx->cache->unpin(step);
     return Status::ok();
   }
   return errFailedPrecondition("dv: cancel without open: " + std::string(file));
@@ -484,7 +445,7 @@ void DvShard::makeAvailable(ContextState& ctx, StepIndex step,
   fs.producer = producer;
 
   (void)ctx.area.addStep(step, cfg.outputStepBytes);
-  emitLeaseGrant(ctx, step);
+  if (produced_) produced_(cfg.name, step);
   const auto evicted = ctx.cache->insert(
       step, static_cast<double>(cfg.geometry.missCostSteps(step)));
 
@@ -517,66 +478,12 @@ void DvShard::makeAvailable(ContextState& ctx, StepIndex step,
 void DvShard::processEvictions(ContextState& ctx,
                                const std::vector<StepIndex>& evicted) {
   const auto& cfg = ctx.driver->config();
-  // Revoke-before-mutate: the lease revocation leaves this node before
-  // any evicted step is erased or unlinked. The generation bumps past
-  // every grant emitted so far, fencing off stale in-flight grants.
-  if (lease_ && !evicted.empty()) {
-    ctx.leaseIsOwner = true;
-    ++ctx.leaseGen;
-    ++leaseCounters_.revokesEmitted;
-    lease_(cfg.name, ctx.leaseGen, evicted, /*revoke=*/true);
-  }
   for (const StepIndex step : evicted) {
     ++stats_.evictions;
     ctx.files.erase(step);
     (void)ctx.area.removeStep(step);
     if (evict_) evict_(cfg.name, cfg.codec.outputFile(step));
   }
-}
-
-void DvShard::emitLeaseGrant(ContextState& ctx, StepIndex step) {
-  if (!lease_) return;
-  ctx.leaseIsOwner = true;
-  ++leaseCounters_.grantsEmitted;
-  lease_(ctx.driver->config().name, ctx.leaseGen, {step}, /*revoke=*/false);
-}
-
-Status DvShard::applyLeaseGrant(const std::string& context,
-                                std::uint64_t generation,
-                                std::span<const std::int64_t> steps) {
-  auto* ctx = findContext(context);
-  if (ctx == nullptr) return errNotFound("dv: no context: " + context);
-  if (generation < ctx->leaseGen && ctx->leaseIsReplica) {
-    return Status::ok();  // stale grant behind a revoke: inert by the fence
-  }
-  ctx->leaseIsReplica = true;
-  ctx->leaseGen = std::max(ctx->leaseGen, generation);
-  for (const std::int64_t s : steps) {
-    ctx->leased.insert(static_cast<StepIndex>(s));
-  }
-  ++leaseCounters_.grantsApplied;
-  return Status::ok();
-}
-
-Status DvShard::applyLeaseRevoke(const std::string& context,
-                                 std::uint64_t generation,
-                                 std::span<const std::int64_t> steps) {
-  auto* ctx = findContext(context);
-  if (ctx == nullptr) return errNotFound("dv: no context: " + context);
-  if (generation < ctx->leaseGen && ctx->leaseIsReplica) {
-    return Status::ok();  // already past this fence
-  }
-  ctx->leaseIsReplica = true;
-  ctx->leaseGen = std::max(ctx->leaseGen, generation);
-  if (steps.empty()) {
-    ctx->leased.clear();  // whole-context revoke (peer-link resync)
-  } else {
-    for (const std::int64_t s : steps) {
-      ctx->leased.erase(static_cast<StepIndex>(s));
-    }
-  }
-  ++leaseCounters_.revokesApplied;
-  return Status::ok();
 }
 
 void DvShard::simulationFinished(SimJobId job, const Status& status) {
@@ -798,45 +705,12 @@ std::size_t DvShard::residentSteps() const {
   return total;
 }
 
-std::optional<LeaseView> DvShard::leaseView(const std::string& context) const {
-  const auto* ctx = findContext(context);
-  if (ctx == nullptr) return std::nullopt;
-  return LeaseView{ctx->leaseGen, ctx->leased.size(), ctx->leaseIsReplica};
-}
-
-std::vector<std::pair<std::string, LeaseView>> DvShard::leaseViews() const {
-  std::vector<std::pair<std::string, LeaseView>> out;
-  for (const auto& [name, ctx] : contexts_) {
-    if (!ctx->leaseIsReplica && !ctx->leaseIsOwner) {
-      continue;  // no lease activity ever
-    }
-    out.emplace_back(name,
-                     LeaseView{ctx->leaseGen, ctx->leased.size(),
-                               ctx->leaseIsReplica});
-  }
-  return out;
-}
-
-std::vector<StepIndex> DvShard::availableSteps(
-    const std::string& context) const {
-  std::vector<StepIndex> out;
-  const auto* ctx = findContext(context);
-  if (ctx == nullptr) return out;
-  out.reserve(ctx->files.size());
-  for (const auto& [step, fs] : ctx->files) {
-    if (fs.kind == FileState::Kind::kAvailable) out.push_back(step);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::optional<ContextSnapshot> DvShard::exportContextSnapshot(
     const std::string& context) const {
   const auto* ctx = findContext(context);
   if (ctx == nullptr) return std::nullopt;
   ContextSnapshot snap;
   snap.context = context;
-  snap.leaseGen = ctx->leaseGen;
   snap.available.reserve(ctx->files.size());
   for (const auto& [step, fs] : ctx->files) {
     if (fs.kind == FileState::Kind::kAvailable) {
@@ -849,7 +723,6 @@ std::optional<ContextSnapshot> DvShard::exportContextSnapshot(
   std::sort(snap.available.begin(), snap.available.end());
   std::sort(snap.pendingWaiters.begin(), snap.pendingWaiters.end());
   for (const ClientInfo* ci : ctx->clients) {
-    if (ci->replica) continue;  // lease accounting, not real pins
     for (const auto& [step, count] : ci->refs) {
       (void)step;
       snap.refs += static_cast<std::uint64_t>(count > 0 ? count : 0);
@@ -872,19 +745,10 @@ Status DvShard::importContextSteps(const std::string& context,
 }
 
 Status DvShard::adoptContextOwnership(
-    const std::string& context, std::uint64_t oldOwnerLeaseGen,
+    const std::string& context,
     std::span<const std::pair<StepIndex, std::uint32_t>> pendingWaiters) {
   auto* ctx = findContext(context);
   if (ctx == nullptr) return errNotFound("dv: no context: " + context);
-  // Continue the old owner's generation sequence strictly past its last
-  // value: any grant it emitted before the flip is stale (< the fence)
-  // on every replica this owner will talk to.
-  ctx->leaseGen = std::max(ctx->leaseGen, oldOwnerLeaseGen) + 1;
-  ctx->leaseIsOwner = true;
-  // This node may have been a replica for the context until now; the
-  // leased-in set is owner state from here on (grants flow FROM here).
-  ctx->leaseIsReplica = false;
-  ctx->leased.clear();
   if (launcher_ == nullptr) return Status::ok();
   const auto& cfg = ctx->driver->config();
   const auto& geom = cfg.geometry;

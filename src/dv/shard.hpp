@@ -61,7 +61,6 @@
 #include <string_view>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace simfs::dv {
@@ -111,34 +110,14 @@ struct DvStats {
   }
 };
 
-/// A context's read-lease state as seen by introspection (simfsctl
-/// `replicas`, kShardStatsAck). On an owner `steps` counts the steps
-/// granted out; on a replica it counts the steps currently leased in.
-struct LeaseView {
-  std::uint64_t generation = 0;
-  std::size_t steps = 0;
-  bool replica = false;  ///< true: this node holds leases granted by an owner
-};
-
-/// Per-shard replica-lease counters (kShardStatsAck; NOT part of DvStats so
-/// federated stats stay comparable to a single-node replay).
-struct LeaseCounters {
-  std::uint64_t grantsEmitted = 0;   ///< owner: grant batches handed to LeaseFn
-  std::uint64_t revokesEmitted = 0;  ///< owner: revoke batches handed to LeaseFn
-  std::uint64_t grantsApplied = 0;   ///< replica: kLeaseGrant applied
-  std::uint64_t revokesApplied = 0;  ///< replica: kLeaseRevoke applied
-  std::uint64_t replicaHits = 0;     ///< opens served locally off a lease
-  std::uint64_t notLeased = 0;       ///< opens bounced back to the owner
-};
-
 /// One context's transferable serving state, exported by the old owner
 /// during an elastic-membership handoff and streamed to the new owner as
 /// kContextHandoff frames. Carries metadata only — step bytes live in the
 /// (shared or re-simulable) store; what moves is the knowledge of what is
-/// resident, what is still owed to whom, and the lease generation fence.
+/// resident and what is still owed to whom. The fence is the ring epoch
+/// the frames carry, not anything in the snapshot.
 struct ContextSnapshot {
   std::string context;
-  std::uint64_t leaseGen = 0;  ///< old owner's grant fence (PR 8 discipline)
   std::uint64_t refs = 0;      ///< open references held by analysis clients
   std::vector<StepIndex> available;  ///< resident steps, ascending
   /// Pending steps with registered waiters (step, waiter count): demand
@@ -157,17 +136,11 @@ class DvShard {
   /// `file` was evicted from `context`'s storage area (live mode unlinks).
   using EvictFn =
       std::function<void(const std::string& context, const std::string& file)>;
-  /// Owner-side lease event: `steps` of `context` were granted (revoke ==
-  /// false) or revoked (revoke == true) at `generation`. Invoked WITH the
-  /// shard lock held, and — critically — revokes fire BEFORE the shard
-  /// mutates the step (file-table erase / eviction unlink), so a FIFO
-  /// peer link delivers the revoke before the step can change. The
-  /// callback must not re-enter the shard; the daemon just queues the
-  /// event for its maintenance thread.
-  using LeaseFn = std::function<void(const std::string& context,
-                                     std::uint64_t generation,
-                                     const std::vector<StepIndex>& steps,
-                                     bool revoke)>;
+  /// `step` of `context` just became available through makeAvailable (a
+  /// simulator write or a handoff import). Invoked WITH the shard lock
+  /// held; the callback must not re-enter the shard.
+  using ProducedFn =
+      std::function<void(const std::string& context, StepIndex step)>;
 
   /// The clock provides request timestamps (virtual in DES, steady in
   /// live). Client/job ids are issued as firstId, firstId + stride, ...;
@@ -184,10 +157,9 @@ class DvShard {
   void setLauncher(SimLauncher* launcher) noexcept { launcher_ = launcher; }
   void setNotifyFn(NotifyFn fn) { notify_ = std::move(fn); }
   void setEvictFn(EvictFn fn) { evict_ = std::move(fn); }
-  /// Installing a LeaseFn turns on owner-side lease emission (grants on
-  /// seed/makeAvailable, revoke-before-mutate on eviction). Unset = the
-  /// pre-replica behavior, bit for bit.
-  void setLeaseFn(LeaseFn fn) { lease_ = std::move(fn); }
+  /// Optional step-produced hook (the daemon forwards production on a
+  /// handed-off context to its new owner). Seeding does not fire it.
+  void setProducedFn(ProducedFn fn) { produced_ = std::move(fn); }
 
   /// Registers a simulation context (driver carries the full config).
   Status registerContext(std::unique_ptr<simmodel::SimulationDriver> driver);
@@ -202,13 +174,8 @@ class DvShard {
 
   // --- client side (DVLib requests) ------------------------------------------
 
-  /// Registers a client session on a context; returns its id. A replica
-  /// client (replica == true) is served purely off the context's leased
-  /// step set: opens of leased steps succeed without touching the cache
-  /// or prefetch machinery, everything else returns kNotLeased so the
-  /// client retries at the ring owner.
-  [[nodiscard]] Result<ClientId> clientConnect(const std::string& context,
-                                               bool replica = false);
+  /// Registers a client session on a context; returns its id.
+  [[nodiscard]] Result<ClientId> clientConnect(const std::string& context);
 
   /// Releases every reference the client holds, resets its prefetch agent
   /// and kills its unneeded prefetched jobs.
@@ -253,20 +220,6 @@ class DvShard {
   /// Job completed (ok) or failed (error status propagates to waiters).
   void simulationFinished(SimJobId job, const Status& status);
 
-  // --- replica-side lease application (kLeaseGrant / kLeaseRevoke) ------------
-
-  /// Unions `steps` into the context's leased set at `generation`. Grants
-  /// older than the current generation are inert (stale in-flight grant
-  /// racing a revoke). Idempotent.
-  Status applyLeaseGrant(const std::string& context, std::uint64_t generation,
-                         std::span<const std::int64_t> steps);
-
-  /// Removes `steps` from the leased set (an EMPTY span revokes the whole
-  /// context) and advances the generation fence. Revokes older than the
-  /// current generation are inert.
-  Status applyLeaseRevoke(const std::string& context, std::uint64_t generation,
-                          std::span<const std::int64_t> steps);
-
   // --- deadline reaping --------------------------------------------------------
 
   /// Drops every waiter whose deadline passed (notified kTimedOut) and
@@ -294,24 +247,6 @@ class DvShard {
   /// (per-shard introspection for simfsctl stats).
   [[nodiscard]] std::size_t residentSteps() const;
 
-  /// Lease state of one context (nullopt: unknown context).
-  [[nodiscard]] std::optional<LeaseView> leaseView(
-      const std::string& context) const;
-
-  /// Lease state of every context with lease activity (generation moved
-  /// or steps leased), for kShardStatsAck / simfsctl.
-  [[nodiscard]] std::vector<std::pair<std::string, LeaseView>> leaseViews()
-      const;
-
-  [[nodiscard]] const LeaseCounters& leaseCounters() const noexcept {
-    return leaseCounters_;
-  }
-
-  /// Currently available (resident) steps of `context`, ascending — what
-  /// an owner re-grants when a replica's peer link is re-established.
-  [[nodiscard]] std::vector<StepIndex> availableSteps(
-      const std::string& context) const;
-
   // --- elastic-membership handoff (old owner -> new owner) --------------------
 
   /// Snapshot of `context` for a live handoff (nullopt: unknown context).
@@ -322,19 +257,16 @@ class DvShard {
       const std::string& context) const;
 
   /// Applies one handoff data frame: marks `steps` available exactly as a
-  /// simulator write would (waiter wake, lease grant, cache insert,
-  /// evictions) — a resent client op racing the import is woken instead of
+  /// simulator write would (waiter wake, cache insert, evictions) — a resent client op racing the import is woken instead of
   /// stranded. Invalid steps are skipped; idempotent on available ones.
   Status importContextSteps(const std::string& context,
                             std::span<const std::int64_t> steps);
 
-  /// Applies the final handoff frame: advances the lease-generation fence
-  /// past the old owner's (stale grants emitted over there become inert
-  /// everywhere) and warm-launches demand re-simulations for the pending
-  /// steps the old owner's clients were still owed, so they are already
-  /// cooking when those clients rebind and resend.
+  /// Applies the final handoff frame: warm-launches demand re-simulations
+  /// for the pending steps the old owner's clients were still owed, so
+  /// they are already cooking when those clients rebind and resend.
   Status adoptContextOwnership(
-      const std::string& context, std::uint64_t oldOwnerLeaseGen,
+      const std::string& context,
       std::span<const std::pair<StepIndex, std::uint32_t>> pendingWaiters);
 
  private:
@@ -381,9 +313,6 @@ class DvShard {
     std::vector<StepIndex> waitingSteps;
     /// Live prefetch jobs owned by this client's agent, ascending id.
     std::vector<SimJobId> prefetchJobs;
-    /// Replica-served session: refs are lease accounting only (the
-    /// replica's cache holds nothing to pin/unpin).
-    bool replica = false;
   };
 
   struct ContextState {
@@ -396,13 +325,6 @@ class DvShard {
     std::vector<ClientInfo*> clients;
     simmodel::ChecksumMap checksums;
     int running = 0;  ///< jobs in kQueued/kRunning phase
-    /// Read-lease state. Owner role: leaseGen fences emitted grants
-    /// (bumped before each eviction revoke); `leased` stays empty. Replica
-    /// role: `leased` is the step set this node may serve locally.
-    std::unordered_set<StepIndex> leased;
-    std::uint64_t leaseGen = 1;
-    bool leaseIsReplica = false;  ///< a grant/revoke was applied here
-    bool leaseIsOwner = false;    ///< a grant/revoke was emitted from here
     ContextState(std::unique_ptr<simmodel::SimulationDriver> d);
   };
 
@@ -419,18 +341,11 @@ class DvShard {
                          const prefetch::AgentActions& actions);
 
   /// Marks a step available, inserts it into the cache, processes
-  /// evictions and wakes waiters.
+  /// evictions, wakes waiters and fires the produced hook.
   void makeAvailable(ContextState& ctx, StepIndex step, SimJobId producer);
 
-  /// Applies cache evictions to DV bookkeeping (revoking leases first).
+  /// Applies cache evictions to DV bookkeeping.
   void processEvictions(ContextState& ctx, const std::vector<StepIndex>& evicted);
-
-  /// Serves one open for a replica client entirely off the leased set —
-  /// allocation-free on the leased hit path.
-  [[nodiscard]] OpenResult replicaOpen(ClientInfo& info, std::string_view file);
-
-  /// Owner-side single-step grant emission (seed / makeAvailable).
-  void emitLeaseGrant(ContextState& ctx, StepIndex step);
 
   /// Enqueues `client` as a waiter on a pending step, maintaining the
   /// producing job's waited-step counter.
@@ -455,8 +370,7 @@ class DvShard {
   SimLauncher* launcher_ = nullptr;
   NotifyFn notify_;
   EvictFn evict_;
-  LeaseFn lease_;
-  LeaseCounters leaseCounters_;
+  ProducedFn produced_;
 
   // Ordered maps for contexts/jobs keep cross-entity iteration
   // deterministic — the DES benches rely on bit-identical replays. The

@@ -32,10 +32,10 @@ void ShardedVirtualizer::setEvictFn(DvShard::EvictFn fn) {
   }
 }
 
-void ShardedVirtualizer::setLeaseFn(DvShard::LeaseFn fn) {
+void ShardedVirtualizer::setProducedFn(DvShard::ProducedFn fn) {
   for (auto& slot : shards_) {
     std::lock_guard lock(slot->mutex);
-    slot->shard.setLeaseFn(fn);
+    slot->shard.setProducedFn(fn);
   }
 }
 

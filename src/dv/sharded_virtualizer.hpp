@@ -40,7 +40,7 @@ class ShardedVirtualizer {
   void setLauncher(SimLauncher* launcher);
   void setNotifyFn(DvShard::NotifyFn fn);
   void setEvictFn(DvShard::EvictFn fn);
-  void setLeaseFn(DvShard::LeaseFn fn);
+  void setProducedFn(DvShard::ProducedFn fn);
 
   // --- routed, internally-locked wrappers -------------------------------------
 

@@ -29,23 +29,6 @@ cluster::Ring NodeRouter::ringSnapshot() const {
   return ring_;
 }
 
-std::vector<cluster::NodeInfo> NodeRouter::replicasOf(
-    const std::string& context) const {
-  std::lock_guard lock(mutex_);
-  if (replicaCount_ == 0 || ring_.empty()) return {};
-  return ring_.replicasOf(context, replicaCount_);
-}
-
-void NodeRouter::noteReplicaCount(std::size_t count) {
-  std::lock_guard lock(mutex_);
-  replicaCount_ = count;
-}
-
-std::size_t NodeRouter::replicaCount() const {
-  std::lock_guard lock(mutex_);
-  return replicaCount_;
-}
-
 bool NodeRouter::adoptRing(const cluster::Ring& ring) {
   if (ring.empty()) return false;
   std::lock_guard lock(mutex_);

@@ -48,18 +48,6 @@ class NodeRouter {
   [[nodiscard]] Result<cluster::NodeInfo> node(const std::string& id) const;
   [[nodiscard]] cluster::Ring ringSnapshot() const;
 
-  /// The context's read-replica set under the current ring and replica
-  /// count: the R distinct ring successors after the owner. Empty when
-  /// replicas are disabled (R = 0) or the ring has fewer than 2 nodes.
-  [[nodiscard]] std::vector<cluster::NodeInfo> replicasOf(
-      const std::string& context) const;
-
-  /// Records the federation's read-replica count R, learned from the
-  /// intArg2 of a kRedirect / kRingUpdate (0 from pre-replica daemons
-  /// and whenever replicas are disabled).
-  void noteReplicaCount(std::size_t count);
-  [[nodiscard]] std::size_t replicaCount() const;
-
   /// Installs `ring` if it supersedes the current table: newer version,
   /// or same version with different membership (daemon-provided tables
   /// are authoritative over a wrong client seed). Strictly older tables
@@ -86,7 +74,6 @@ class NodeRouter {
   mutable std::mutex mutex_;
   cluster::Ring ring_;
   Dialer dial_;
-  std::size_t replicaCount_ = 0;  ///< federation's R (0 = replicas off)
   std::map<std::string, std::vector<std::shared_ptr<msg::Transport>>> idle_;
 };
 

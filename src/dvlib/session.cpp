@@ -27,9 +27,6 @@ struct AcquireState {
   Status worst;
   VDuration estimatedWait = 0;
   std::uint64_t wireId = 0;  ///< requestId of the kOpenBatchReq
-  /// Endpoint the batch currently lives on (owner or a replica link):
-  /// the cancel unwinding this batch must land where it registered.
-  std::shared_ptr<msg::Transport> servedBy;
   bool ack = false;        ///< batch ack processed
   bool completed = false;  ///< terminal; continuations fired
   bool cancelled = false;
@@ -94,7 +91,7 @@ msg::Message makeHello(const std::string& context) {
 }
 
 /// The daemon's protocol pick out of a kHelloAck; 1 when the ack carries
-/// none (legacy daemon, or a replica-mode ack).
+/// none (legacy daemon).
 std::int64_t negotiatedVersionOf(const msg::Message& reply) {
   return reply.ints.empty() ? 1 : reply.ints[0];
 }
@@ -300,13 +297,19 @@ Session::~Session() {
   finalize();
   // Teardown handshake: destroying the endpoints disarms their handlers
   // and blocks until in-flight callbacks have left, so the members those
-  // callbacks capture (via `this`) are still alive while they run.
-  // Pooled states may pin replica transports through servedBy — drop
-  // those references here so every endpoint dies inside this body, not
-  // during member destruction.
-  for (const auto& s : statePool_) s->servedBy.reset();
-  retired_.clear();
-  transport_.reset();
+  // callbacks capture (via `this`) are still alive while they run. The
+  // pointers move out under mutex_ (a close callback reads transport_
+  // under it) and die after it drops: a callback blocked on mutex_ would
+  // otherwise deadlock against the destructor waiting for it.
+  std::shared_ptr<msg::Transport> live;
+  std::vector<std::shared_ptr<msg::Transport>> retired;
+  {
+    std::lock_guard lock(mutex_);
+    live = std::move(transport_);
+    retired.swap(retired_);
+  }
+  retired.clear();
+  live.reset();
 }
 
 void Session::attach(const std::shared_ptr<msg::Transport>& t) {
@@ -360,136 +363,6 @@ std::shared_ptr<msg::Transport> Session::transportRef() {
   return transport_;
 }
 
-// ------------------------------------------------------- read-replica spread
-
-int Session::replicaIndexOfLocked(const msg::Transport* t) const {
-  if (t == nullptr) return -1;
-  for (std::size_t i = 0; i < replicaLinks_.size(); ++i) {
-    if (replicaLinks_[i].transport.get() == t) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-std::size_t Session::replicaEndpoints() {
-  std::lock_guard lock(mutex_);
-  std::size_t live = 0;
-  for (const auto& link : replicaLinks_) {
-    if (!link.dead && link.transport && link.transport->isOpen()) ++live;
-  }
-  return live;
-}
-
-std::shared_ptr<msg::Transport> Session::pickTransportLocked() {
-  if (router_ != nullptr && transport_ != nullptr && !replicaSetupDone_ &&
-      !replicaSetupPending_ && !finalized_ && router_->replicaCount() > 0) {
-    // First acquire after the federation advertised replicas: hand the
-    // (blocking) dial + replica hellos to the recovery thread. This
-    // batch still goes to the owner; later ones spread.
-    replicaSetupPending_ = true;
-    wakeRecoveryLocked();
-  }
-  std::size_t live = 0;
-  for (const auto& link : replicaLinks_) {
-    if (!link.dead && link.transport && link.transport->isOpen()) ++live;
-  }
-  if (live == 0 || transport_ == nullptr) return transport_;
-  // Power-of-two-choices on per-endpoint estimated wait: sample two
-  // distinct candidates (0 = owner, 1.. = live replica links) and take
-  // the one whose last batch ack promised the shorter wait — loaded
-  // endpoints (deep re-simulation queues) shed traffic automatically,
-  // idle replicas absorb it.
-  const std::size_t n = 1 + live;
-  const auto draw = [this](std::uint64_t bound) {
-    retrySalt_ += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = retrySalt_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return (z ^ (z >> 31)) % bound;
-  };
-  std::size_t a = draw(n);
-  std::size_t b = draw(n - 1);
-  if (b >= a) ++b;
-  const auto candidate = [&](std::size_t idx)
-      -> std::pair<std::shared_ptr<msg::Transport>, VDuration> {
-    if (idx == 0) return {transport_, ownerWait_};
-    std::size_t seen = 0;
-    for (const auto& link : replicaLinks_) {
-      if (link.dead || !link.transport || !link.transport->isOpen()) continue;
-      if (++seen == idx) return {link.transport, link.lastWait};
-    }
-    return {transport_, ownerWait_};
-  };
-  auto [ta, wa] = candidate(a);
-  auto [tb, wb] = candidate(b);
-  return wa <= wb ? std::move(ta) : std::move(tb);
-}
-
-void Session::setupReplicaLinks() {
-  if (router_ == nullptr) return;
-  for (const auto& node : router_->replicasOf(context_)) {
-    {
-      std::lock_guard lock(mutex_);
-      if (finalized_ || recoveryStop_) return;
-      bool have = false;
-      for (const auto& link : replicaLinks_) {
-        if (link.nodeId == node.id && !link.dead && link.transport &&
-            link.transport->isOpen()) {
-          have = true;
-          break;
-        }
-      }
-      if (have) continue;
-    }
-    auto checked = router_->checkout(node.endpoint);
-    if (!checked) continue;  // best effort: the owner still serves
-    std::shared_ptr<msg::Transport> t = std::move(*checked);
-    attach(t);
-    msg::Message hello = makeHello(context_);
-    // ONLY the replica cap travels on replica hellos (never on the main
-    // session's, so a rebind can never accidentally bind to a replica):
-    // the daemon binds this link in replica mode — leased resident steps
-    // serve locally, everything else answers kNotLeased.
-    hello.intArg2 |= msg::kHelloCapReplica;
-    auto reply = callOn(t, hello);
-    if (!reply) {
-      t->close();
-      continue;
-    }
-    if (reply->type == msg::MsgType::kRedirect) {
-      // Not (or no longer) a lease holder: nothing bound server-side, so
-      // the connection is reusable by sessions that node does own.
-      if (auto ring = ringFromMessage(*reply)) router_->adoptRing(*ring);
-      router_->noteReplicaCount(static_cast<std::size_t>(
-          std::max<std::int64_t>(0, reply->intArg2)));
-      router_->checkin(node.endpoint, std::move(t));
-      continue;
-    }
-    if (!statusFrom(*reply).isOk()) {
-      t->close();
-      continue;
-    }
-    bool closeNow = false;
-    {
-      std::lock_guard lock(mutex_);
-      if (finalized_) {
-        closeNow = true;  // raced finalize(): nothing tracks it anymore
-      } else {
-        ReplicaLink link;
-        link.nodeId = node.id;
-        link.endpoint = node.endpoint;
-        link.transport = std::move(t);
-        replicaLinks_.push_back(std::move(link));
-      }
-    }
-    if (closeNow) {
-      t->close();
-      return;
-    }
-  }
-  std::lock_guard lock(mutex_);
-  replicaSetupDone_ = true;
-}
-
 Result<msg::Message> Session::callOn(const std::shared_ptr<msg::Transport>& t,
                                      msg::Message m) {
   m.requestId = nextCallId();
@@ -526,8 +399,6 @@ Result<msg::Message> Session::call(msg::Message m) {
                             "' but session has no router");
     }
     if (auto ring = ringFromMessage(*reply)) router_->adoptRing(*ring);
-    router_->noteReplicaCount(static_cast<std::size_t>(
-        std::max<std::int64_t>(0, reply->intArg2)));
     SIMFS_RETURN_IF_ERROR(rebind(reply->text));
   }
   return errUnavailable("dvlib: redirect loop (ring members disagree)");
@@ -640,8 +511,6 @@ void Session::onMessage(const msg::MessageView& m) {
     // construction, so reading it here without the lock is safe.
     ringOwned = m.toMessage();
     if (auto ring = ringFromMessage(*ringOwned)) router_->adoptRing(*ring);
-    router_->noteReplicaCount(static_cast<std::size_t>(
-        std::max<std::int64_t>(0, ringOwned->intArg2)));
     if (m.requestId() == 0) return;  // pure push, not a reply
   }
   Fired fired;
@@ -694,40 +563,9 @@ void Session::onMessage(const msg::MessageView& m) {
           // resends every surviving op once rebound.
           const msg::Message owned = m.toMessage();
           if (auto ring = ringFromMessage(owned)) router_->adoptRing(*ring);
-          router_->noteReplicaCount(static_cast<std::size_t>(
-              std::max<std::int64_t>(0, owned.intArg2)));
           queueRedirectLocked(owned.text);
         }
       } else {
-        // A replica whose lease was revoked (or never covered the batch)
-        // answers kNotLeased — whole-batch or per-file. Not a failure:
-        // the recovery thread unwinds the partial registration on the
-        // replica and resends the op, same requestId, on the owner.
-        const int replicaIdx = replicaIndexOfLocked(op->transport);
-        bool notLeased = false;
-        if (replicaIdx >= 0 && !op->state->cancelled) {
-          if (static_cast<StatusCode>(m.code()) == StatusCode::kNotLeased) {
-            notLeased = true;
-          } else if (m.type() == msg::MsgType::kOpenBatchAck) {
-            for (auto ip = m.intsBegin(); ip != m.intsEnd(); ++ip) {
-              const std::int64_t packed = *ip;  // (code << 1) | available
-              if (packed >= 0 && static_cast<StatusCode>(packed >> 1) ==
-                                     StatusCode::kNotLeased) {
-                notLeased = true;
-                break;
-              }
-              ++ip;  // skip this pair's estimated wait
-              if (ip == m.intsEnd()) break;
-            }
-          }
-        }
-        if (notLeased) {
-          fallbacks_.push_back(ReplicaFallback{
-              op->id,
-              replicaLinks_[static_cast<std::size_t>(replicaIdx)].transport});
-          wakeRecoveryLocked();
-          return;  // op stays in asyncOps_ awaiting the owner's ack
-        }
         // A whole-batch kUnavailable with no outcome pairs is a load
         // shed: the shard dropped the request before registering
         // anything, so resending the SAME requestId is safe (and the
@@ -750,24 +588,8 @@ void Session::onMessage(const msg::MessageView& m) {
               fired);
         } else {
           auto state = op->state;
-          const msg::Transport* src = op->transport;
           asyncOps_.erase(op);
           applyBatchAckLocked(*state, m);
-          // Feed the p2c picker: the batch's worst estimated wait is the
-          // endpoint's freshest load signal (0 = everything was resident).
-          if (src == transport_.get()) {
-            ownerWait_ = state->estimatedWait;
-          } else if (const int ri = replicaIndexOfLocked(src); ri >= 0) {
-            auto& link = replicaLinks_[static_cast<std::size_t>(ri)];
-            link.lastWait = state->estimatedWait;
-            // The step references now live at the REPLICA: remember the
-            // serving link per file so release() unwinds them there.
-            for (std::size_t i = 0; i < state->files.size(); ++i) {
-              if (state->fileStatus[i].isOk()) {
-                replicaRefs_[state->files[i]].push_back(link.transport);
-              }
-            }
-          }
           if (!state->cancelled && state->pending.empty()) {
             completeLocked(state, fired);
           }
@@ -834,8 +656,7 @@ void Session::recoveryLoop() {
   std::unique_lock lock(mutex_);
   for (;;) {
     const auto signalled = [&] {
-      return recoveryStop_ || !redirectTargets_.empty() ||
-             reconnectPending_ || !fallbacks_.empty() || replicaSetupPending_;
+      return recoveryStop_ || !redirectTargets_.empty() || reconnectPending_;
     };
     if (retries_.empty()) {
       cv_.wait(lock, [&] { return signalled() || !retries_.empty(); });
@@ -854,40 +675,6 @@ void Session::recoveryLoop() {
       lock.unlock();
       const Status st = rebind(target);
       if (!st.isOk()) failAsyncOps(st);
-      lock.lock();
-      continue;
-    }
-    if (replicaSetupPending_) {
-      replicaSetupPending_ = false;
-      lock.unlock();
-      setupReplicaLinks();  // dials + replica hellos; best effort
-      lock.lock();
-      continue;
-    }
-    if (!fallbacks_.empty()) {
-      ReplicaFallback fb = std::move(fallbacks_.front());
-      fallbacks_.pop_front();
-      std::vector<std::string> files;
-      if (const auto it = findAsyncOp(fb.opId);
-          it != asyncOps_.end() && !it->state->completed &&
-          !it->state->cancelled) {
-        files = it->state->files;
-      }
-      lock.unlock();
-      if (!files.empty()) {
-        // Unwind whatever the replica partially registered before its
-        // not-leased answer (fire-and-forget; replica refs carry no
-        // cache pins, so a lost cancel is benign), then resend the batch
-        // on the owner under the same requestId.
-        if (fb.replica && fb.replica->isOpen()) {
-          msg::MessageRef cancel;
-          cancel.type = msg::MsgType::kCancelReq;
-          cancel.context = context_;
-          cancel.files = scratchViewsOf(files);
-          (void)fb.replica->send(cancel);
-        }
-        resendOp(fb.opId);
-      }
       lock.lock();
       continue;
     }
@@ -966,7 +753,6 @@ void Session::resendOp(std::uint64_t opId) {
     t = transport_;
     if (!t) return;  // reconnect in flight; the rebind resends survivors
     it->transport = t.get();
-    it->state->servedBy = t;  // retarget: resends always go to the owner
     state = it->state;
     deadline = opDeadlineNs_;
   }
@@ -1066,35 +852,6 @@ void Session::onTransportClosed(const msg::Transport* t) {
         // the session cannot re-resolve would hang forever.
         failAllLocked(errUnreachable("dvlib: connection to DV lost"), fired);
       }
-    } else if (const int ri = replicaIndexOfLocked(t); ri >= 0) {
-      // A replica link died: nothing is lost — ops tagged to it retarget
-      // to the owner through the retry path (untagged first, so a racing
-      // send failure cannot double-fail them). The transport object must
-      // outlive this callback, so it parks on the retired list instead
-      // of being destroyed here.
-      ReplicaLink& link = replicaLinks_[static_cast<std::size_t>(ri)];
-      link.dead = true;
-      if (link.transport) retired_.push_back(std::move(link.transport));
-      for (auto& op : asyncOps_) {
-        if (op.transport != t || op.state->completed ||
-            op.state->cancelled) {
-          continue;
-        }
-        op.transport = nullptr;
-        queueRetryLocked(op.id, 0);
-      }
-      // A sync call on the link (the replica hello, at most) fails soft.
-      for (const auto& [id, tp] : inflight_) {
-        if (tp == t && replies_.count(id) == 0) {
-          msg::Message failed;
-          failed.type = msg::MsgType::kError;
-          failed.requestId = id;
-          failed.code = static_cast<std::int32_t>(down.code());
-          failed.text = down.message();
-          replies_.emplace(id, std::move(failed));
-        }
-      }
-      cv_.notify_all();
     } else {
       // A retired link died late: only ops still tagged to it are lost
       // (rebind retargets surviving ops before closing the old link).
@@ -1151,8 +908,6 @@ Status Session::rebind(std::string targetNode) {
       // The daemon rejected the hello without binding anything, so the
       // connection is reusable by sessions this node does own.
       if (auto ring = ringFromMessage(*reply)) router_->adoptRing(*ring);
-      router_->noteReplicaCount(static_cast<std::size_t>(
-          std::max<std::int64_t>(0, reply->intArg2)));
       targetNode = reply->text;
       router_->checkin(node->endpoint, std::move(t));
       continue;
@@ -1189,7 +944,6 @@ Status Session::rebind(std::string targetNode) {
             continue;
           }
           it->transport = t.get();
-          it->state->servedBy = t;
           msg::Message req;
           req.type = msg::MsgType::kOpenBatchReq;
           req.requestId = it->id;
@@ -1274,7 +1028,6 @@ std::shared_ptr<detail::AcquireState> Session::takeStateLocked() {
     state->worst = Status::ok();
     state->estimatedWait = 0;
     state->wireId = 0;
-    state->servedBy.reset();
     state->ack = false;
     state->completed = false;
     state->cancelled = false;
@@ -1306,7 +1059,7 @@ AcquireHandle Session::startAcquire(FillFn&& fill) {
       state->completed = true;
       return AcquireHandle(std::move(self), std::move(state));
     }
-    t = pickTransportLocked();
+    t = transport_;
     if (finalized_ || !t) {
       state->ack = true;
       state->completed = true;
@@ -1316,7 +1069,6 @@ AcquireHandle Session::startAcquire(FillFn&& fill) {
     }
     id = nextCallId();
     state->wireId = id;
-    state->servedBy = t;
     active_.push_back(state);
     AsyncOp op;
     op.id = id;
@@ -1342,15 +1094,8 @@ AcquireHandle Session::startAcquire(FillFn&& fill) {
       // owns the op and this failure is stale, not terminal.
       const auto it = findAsyncOp(id);
       if (it != asyncOps_.end() && it->transport == t.get()) {
-        if (const int ri = replicaIndexOfLocked(t.get()); ri >= 0) {
-          // A replica link failed under us: not terminal — the batch
-          // retargets to the owner through the retry path.
-          replicaLinks_[static_cast<std::size_t>(ri)].dead = true;
-          queueRetryLocked(id, 0);
-        } else {
-          asyncOps_.erase(it);
-          failStateLocked(state, sent, fired);
-        }
+        asyncOps_.erase(it);
+        failStateLocked(state, sent, fired);
       }
     }
     for (auto& [fn, s] : fired) fn(s);
@@ -1429,7 +1174,6 @@ Status Session::handleCancel(
     const std::shared_ptr<detail::AcquireState>& state) {
   Fired fired;
   bool hadFiles = false;
-  std::shared_ptr<msg::Transport> t;
   {
     std::lock_guard lock(mutex_);
     if (state->cancelled) return Status::ok();  // idempotent
@@ -1440,22 +1184,10 @@ Status Session::handleCancel(
       completeLocked(state, fired);
     }
     hadFiles = !state->files.empty();
-    // The release must land on the endpoint the batch registered on —
-    // a replica link when the spread sent it there.
-    t = state->servedBy ? state->servedBy : transport_;
-    // The cancel frees the batch's registrations wholesale: drop the
-    // per-file replica-ref entries it recorded so a later release of the
-    // same name does not chase references the cancel already freed.
-    for (const auto& f : state->files) {
-      const auto it = replicaRefs_.find(f);
-      if (it == replicaRefs_.end()) continue;
-      const auto pos = std::find(it->second.begin(), it->second.end(), t);
-      if (pos != it->second.end()) it->second.erase(pos);
-      if (it->second.empty()) replicaRefs_.erase(it);
-    }
   }
   for (auto& [fn, s] : fired) fn(s);
   if (!hadFiles) return Status::ok();
+  auto t = transportRef();
   if (!t) return errUnavailable("dvlib: session not connected");
   // One wire op frees everything the batch registered: waiter entries
   // for steps still pending, references for steps already delivered.
@@ -1528,64 +1260,16 @@ Status Session::release(const std::string& file) {
 }
 
 Status Session::release(std::span<const std::string> files) {
-  // Route each file to the node holding its registration: a reference
-  // registered off a replica lease lives at THAT replica — the owner
-  // would (rightly) answer "release without open" for it.
-  std::vector<std::string> owned;
-  std::vector<std::pair<std::shared_ptr<msg::Transport>,
-                        std::vector<std::string>>>
-      byReplica;
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& f : files) {
-      const auto it = replicaRefs_.find(f);
-      if (it == replicaRefs_.end() || it->second.empty()) {
-        owned.push_back(f);
-        continue;
-      }
-      auto t = std::move(it->second.back());
-      it->second.pop_back();
-      if (it->second.empty()) replicaRefs_.erase(it);
-      const auto group =
-          std::find_if(byReplica.begin(), byReplica.end(),
-                       [&](const auto& g) { return g.first == t; });
-      if (group == byReplica.end()) {
-        byReplica.emplace_back(std::move(t), std::vector<std::string>{f});
-      } else {
-        group->second.push_back(f);
-      }
-    }
-  }
-  Status worst = Status::ok();
-  for (auto& [t, group] : byReplica) {
-    // A dead link already freed its registrations server-side (the
-    // daemon unwinds the client on disconnect): nothing left to release.
-    if (!t || !t->isOpen()) continue;
-    msg::Message m;
-    m.type = msg::MsgType::kReleaseReq;
-    m.files = std::move(group);
-    auto reply = callOn(t, std::move(m));
-    if (!reply) {
-      if (reply.status().code() != StatusCode::kUnavailable) {
-        worst = reply.status();
-      }
-      continue;
-    }
-    if (const Status st = statusFrom(*reply); !st.isOk()) worst = st;
-  }
-  if (!owned.empty()) {
-    msg::Message m;
-    m.type = msg::MsgType::kReleaseReq;
-    m.files = std::move(owned);
-    auto reply = call(std::move(m));
-    if (!reply) return reply.status();
-    if (const Status st = statusFrom(*reply); !st.isOk()) worst = st;
-  }
+  msg::Message m;
+  m.type = msg::MsgType::kReleaseReq;
+  m.files.assign(files.begin(), files.end());
+  auto reply = call(std::move(m));
+  if (!reply) return reply.status();
   {
     std::lock_guard lock(mutex_);
     for (const auto& f : files) fileWaits_.erase(f);
   }
-  return worst;
+  return statusFrom(*reply);
 }
 
 Result<bool> Session::bitrep(const std::string& file, std::uint64_t digest) {
@@ -1614,14 +1298,6 @@ void Session::finalize() {
     // Wake every blocked waiter: nothing outstanding can resolve once
     // the session is gone.
     failAllLocked(errUnavailable("dvlib: session finalized"), fired);
-    for (auto& link : replicaLinks_) {
-      if (link.transport) retired_.push_back(std::move(link.transport));
-    }
-    replicaLinks_.clear();
-    for (auto& [file, refs] : replicaRefs_) {
-      for (auto& t : refs) retired_.push_back(std::move(t));
-    }
-    replicaRefs_.clear();
     t = transport_;
     retired = retired_;  // close outside the lock; entries stay alive
   }

@@ -265,11 +265,6 @@ class Session : public std::enable_shared_from_this<Session> {
   /// the affected ops with kUnreachable instead of hanging.
   void setRetryPolicy(int budget, VDuration baseBackoffNs);
 
-  /// Number of live read-replica links this session holds (0 until the
-  /// federation advertises replicas and the links come up). Observability
-  /// hook for tests and tools.
-  [[nodiscard]] std::size_t replicaEndpoints();
-
  private:
   friend class AcquireHandle;
 
@@ -397,52 +392,6 @@ class Session : public std::enable_shared_from_this<Session> {
       VDuration timeoutNs);
   [[nodiscard]] Status handleCancel(
       const std::shared_ptr<detail::AcquireState>& state);
-
-  // --- read-replica spread ----------------------------------------------------
-
-  /// A read-only link to one of the context's lease replicas: helloed
-  /// with kHelloCapReplica, so the daemon serves leased resident steps
-  /// locally and answers kNotLeased for anything else.
-  struct ReplicaLink {
-    std::string nodeId;
-    std::string endpoint;
-    std::shared_ptr<msg::Transport> transport;
-    VDuration lastWait = 0;  ///< estimated wait from its last batch ack
-    bool dead = false;
-  };
-
-  /// A replica answered kNotLeased (its lease no longer covers the
-  /// batch): the recovery thread unwinds the partial registration on the
-  /// replica and resends the op on the owner.
-  struct ReplicaFallback {
-    std::uint64_t opId = 0;
-    std::shared_ptr<msg::Transport> replica;
-  };
-
-  /// Picks the transport for a new batch: owner only until replica links
-  /// are up, then power-of-two-choices on per-endpoint estimated wait
-  /// across owner + live replicas. Lock held.
-  [[nodiscard]] std::shared_ptr<msg::Transport> pickTransportLocked();
-
-  /// Dials + replica-hellos every replica of context_ (recovery thread;
-  /// no session lock across the blocking dial/hello).
-  void setupReplicaLinks();
-
-  /// Index into replicaLinks_ of the link owning `t`, -1 if none. Lock
-  /// held.
-  [[nodiscard]] int replicaIndexOfLocked(const msg::Transport* t) const;
-
-  std::vector<ReplicaLink> replicaLinks_;   ///< guarded by mutex_
-  bool replicaSetupPending_ = false;  ///< recovery thread owes a setup pass
-  bool replicaSetupDone_ = false;     ///< links established (or attempted)
-  VDuration ownerWait_ = 0;  ///< owner's estimated wait from its last ack
-  std::deque<ReplicaFallback> fallbacks_;  ///< kNotLeased retargets
-  /// Per-file step references registered at a REPLICA (one entry per
-  /// successful replica-served acquire): release() must unwind them on
-  /// the node that holds them — the owner never heard of the open.
-  std::map<std::string, std::vector<std::shared_ptr<msg::Transport>>,
-           std::less<>>
-      replicaRefs_;
 
   std::shared_ptr<msg::Transport> transport_;  ///< swap guarded by mutex_
   /// Transports replaced by rebind(), already close()d; kept until the

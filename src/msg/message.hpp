@@ -69,16 +69,11 @@ enum class MsgType : std::uint16_t {
   kRedirect,       ///< DV->client: context is owned by another node.
                    ///< context=ctx, text=owner node id, files[i]=ring
                    ///< entries "id=endpoint", intArg=ring version.
-                   ///< intArg2=read-replica count R (additive, PR 8):
-                   ///< 0 from pre-replica daemons and whenever replicas
-                   ///< are disabled, so legacy redirects stay
-                   ///< byte-identical.
   kRingReq,        ///< ask a daemon for its ring membership table
   kRingUpdate,     ///< DV->client: files[i]="id=endpoint", intArg=ring
                    ///< version, text=answering node's id. Sent as the
                    ///< kRingReq reply and pushed when a daemon learns a
                    ///< newer table; receivers re-resolve routing.
-                   ///< intArg2=read-replica count R (0 = replicas off).
 
   // --- vectored session ops (async DVLib core) --------------------------------
   kOpenBatchReq,   ///< files[]: open N files in ONE round trip. The daemon
@@ -111,74 +106,63 @@ enum class MsgType : std::uint16_t {
   kPong,           ///< probe reply: intArg echoes the ping sequence,
                    ///< text=answering node's id
 
-  // --- read-only replica leases (owner -> ring successors) --------------------
-  kLeaseGrant,     ///< owner->replica: context, intArg=lease generation,
-                   ///< ints[]=resident StepIndex values now covered,
-                   ///< text=granting node's id. Grants are incremental
-                   ///< (union into the replica's leased set) and fenced
-                   ///< by generation: a grant older than the replica's
-                   ///< current generation is inert.
-  kLeaseRevoke,    ///< owner->replica: context, intArg=lease generation
-                   ///< (already bumped past every outstanding grant),
-                   ///< ints[]=steps to revoke; an EMPTY list revokes the
-                   ///< whole context (used for resync after a peer link
-                   ///< is re-established). Sent BEFORE the owner mutates
-                   ///< the step (eviction unlink / re-simulation).
-  kLeaseAck,       ///< replica->owner: context, code=status, intArg
-                   ///< echoes the generation, intArg2=1 when acking a
-                   ///< revoke (0 for grants), text=acking node's id.
+  // Values 31-33 are retired; the ops below keep their wire values.
 
   // --- context geometry (POSIX frontend namespace synthesis) ------------------
-  kGeometryReq,    ///< ask a daemon for a context's step/file geometry so a
-                   ///< POSIX adapter can synthesize listings and stat
+  kGeometryReq = 34,  ///< ask a daemon for a context's step/file geometry so
+                   ///< a POSIX adapter can synthesize listings and stat
                    ///< results without opening anything. context="" asks
                    ///< for the context enumeration instead. Answered inline
                    ///< on the dispatching thread (geometry is static config,
                    ///< registered on every node, so no kRedirect is needed).
-  kGeometryAck,    ///< context form: ints[] = [deltaD, deltaR, numTimesteps,
-                   ///< outputStepBytes, padWidth], files[] = [outputPrefix,
-                   ///< outputSuffix], intArg = numOutputSteps, text =
-                   ///< answering node's id, code = status (kNotFound for an
-                   ///< unknown context). Enumeration form (req context ""):
-                   ///< files[] = registered context names, intArg = count,
-                   ///< ints[] empty. Decoders must length-check both lists
-                   ///< like every other ack — a hostile peer controls them.
+  kGeometryAck = 35,  ///< context form: ints[] = [deltaD, deltaR,
+                   ///< numTimesteps, outputStepBytes, padWidth], files[] =
+                   ///< [outputPrefix, outputSuffix], intArg =
+                   ///< numOutputSteps, text = answering node's id, code =
+                   ///< status (kNotFound for an unknown context).
+                   ///< Enumeration form (req context ""): files[] =
+                   ///< registered context names, intArg = count, ints[]
+                   ///< empty. Decoders must length-check both lists like
+                   ///< every other ack — a hostile peer controls them.
 
   // --- elastic membership (ring admin + live context handoff) ---------------
-  kRingPropose,    ///< admin/peer->DV: stage a membership change. files[] =
-                   ///< proposed ring entries ("id=endpoint"), intArg =
-                   ///< proposed ring version (must exceed the current one).
-                   ///< The first receiver (hops == 0) relays the proposal to
-                   ///< every member of old ∪ new membership; each node that
-                   ///< loses a context starts streaming its kContextHandoff
-                   ///< snapshot to the new owner while still serving it.
-  kRingProposeAck, ///< DV->admin: code=status, intArg=proposed version,
-                   ///< intArg2=#contexts changing owner, files[] = the moved
-                   ///< contexts as "ctx:oldOwner>newOwner".
-  kRingCommit,     ///< admin/peer->DV: commit a proposed change. Same payload
-                   ///< as kRingPropose (entries travel again, so a node that
-                   ///< missed the proposal still converges). The receiver
-                   ///< adopts the ring, applies staged handoff imports whose
-                   ///< epoch matches, and relays when hops == 0. Old owners
-                   ///< flip moved contexts to redirect mode at this point.
-  kRingCommitAck,  ///< DV->admin: code=status, intArg=committed version.
-  kContextHandoff, ///< old owner->new owner: one snapshot frame of a moving
-                   ///< context. context=name, intArg=epoch (the ring version
-                   ///< the transfer belongs to — the fence), text=sender's
-                   ///< node id. Data frame (intArg2 bit0 clear): ints[] =
-                   ///< available StepIndex values (≤ SIMFS_HANDOFF_BATCH per
-                   ///< frame). Final frame (intArg2 bit0 set): ints[] =
-                   ///< [leaseGen, totalRefs, (pendingStep, waiters)...] —
-                   ///< lease generation for the PR 8 fence plus the pending
-                   ///< steps clients are still owed, so the new owner can
-                   ///< warm-launch their re-simulations. Frames with epoch <
-                   ///< the receiver's committed version are rejected (stale);
-                   ///< epoch == current applies immediately (post-commit
-                   ///< delta); epoch > current is staged until kRingCommit.
-  kContextHandoffAck, ///< new owner->old owner: context, code=status, intArg
-                   ///< echoes the epoch, intArg2=1 when acking the final
-                   ///< frame (the commit point of the transfer), text=acking
-                   ///< node's id.
+  kRingPropose = 36,  ///< admin/peer->DV: stage a membership change.
+                   ///< files[] = proposed ring entries ("id=endpoint"),
+                   ///< intArg = proposed ring version (must exceed the
+                   ///< current one). The first receiver (hops == 0) relays
+                   ///< the proposal to every member of old ∪ new
+                   ///< membership; each node that loses a context starts
+                   ///< streaming its kContextHandoff snapshot to the new
+                   ///< owner while still serving it.
+  kRingProposeAck = 37,  ///< DV->admin: code=status, intArg=proposed
+                   ///< version, intArg2=#contexts changing owner, files[] =
+                   ///< the moved contexts as "ctx:oldOwner>newOwner".
+  kRingCommit = 38,  ///< admin/peer->DV: commit a proposed change. Same
+                   ///< payload as kRingPropose (entries travel again, so a
+                   ///< node that missed the proposal still converges). The
+                   ///< receiver adopts the ring, applies staged handoff
+                   ///< imports whose epoch matches, and relays when hops ==
+                   ///< 0. Old owners flip moved contexts to redirect mode
+                   ///< at this point.
+  kRingCommitAck = 39,  ///< DV->admin: code=status, intArg=committed
+                   ///< version.
+  kContextHandoff = 40,  ///< old owner->new owner: one snapshot frame of a
+                   ///< moving context. context=name, intArg=epoch (the ring
+                   ///< version the transfer belongs to — the fence),
+                   ///< text=sender's node id. Data frame (intArg2 bit0
+                   ///< clear): ints[] = available StepIndex values (≤
+                   ///< SIMFS_HANDOFF_BATCH per frame). Final frame (intArg2
+                   ///< bit0 set): ints[] = [totalRefs, (pendingStep,
+                   ///< waiters)...] — the pending steps clients are still
+                   ///< owed, so the new owner can warm-launch their
+                   ///< re-simulations. Frames with epoch < the receiver's
+                   ///< committed version are rejected (stale); epoch ==
+                   ///< current applies immediately (post-commit delta);
+                   ///< epoch > current is staged until kRingCommit.
+  kContextHandoffAck = 41,  ///< new owner->old owner: context, code=status,
+                   ///< intArg echoes the epoch, intArg2=1 when acking the
+                   ///< final frame (the commit point of the transfer),
+                   ///< text=acking node's id.
 };
 
 /// Who is connecting (intArg of kHello).
@@ -188,11 +172,7 @@ enum class ClientRole : std::int64_t { kAnalysis = 0, kSimulator = 1 };
 /// memory ring pair; kHello.text then names its shm segment.
 inline constexpr std::int64_t kHelloCapShm = 1;
 
-/// kHello.intArg2 capability bit: the client understands replica serving —
-/// a non-owner node holding an active read lease for the context may bind
-/// the session locally instead of redirecting, and the client handles
-/// per-file kNotLeased outcomes by retrying the batch at the ring owner.
-inline constexpr std::int64_t kHelloCapReplica = 2;
+/// kHello.intArg2 capability bit 2 is retired; daemons ignore it.
 
 /// kHello.intArg2 capability bit: the client speaks versioned protocol —
 /// kHello.ints = [minVersion, maxVersion] it can serve, and the daemon

@@ -110,43 +110,6 @@ TEST(RingTest, RemovingANodeOnlyMovesItsContexts) {
   EXPECT_GT(kept, 0);
 }
 
-TEST(RingTest, ReplicasOfAreDeterministicDistinctSuccessors) {
-  auto a = Ring::make(threeNodes()).value();
-  auto b = Ring::make(threeNodes()).value();
-  for (int i = 0; i < 100; ++i) {
-    const std::string ctx = "context-" + std::to_string(i);
-    const auto ra = a.replicasOf(ctx, 2);
-    const auto rb = b.replicasOf(ctx, 2);
-    // Same set on every instance — owner and replicas agree on who
-    // holds a lease without ever talking about it.
-    ASSERT_EQ(ra.size(), rb.size()) << ctx;
-    for (std::size_t j = 0; j < ra.size(); ++j) {
-      EXPECT_EQ(ra[j].id, rb[j].id) << ctx;
-    }
-    // The replica set never contains the owner, never repeats a node.
-    ASSERT_EQ(ra.size(), 2u) << ctx;
-    std::set<std::string> seen{a.ownerOf(ctx).id};
-    for (const auto& n : ra) {
-      EXPECT_TRUE(seen.insert(n.id).second) << ctx << " duplicates " << n.id;
-    }
-  }
-}
-
-TEST(RingTest, ReplicasOfClampsToRingSize) {
-  auto ring = Ring::make(threeNodes()).value();
-  // Asking for more replicas than there are other nodes yields them all,
-  // once each — never a wrap-around duplicate.
-  const auto all = ring.replicasOf("ctx", 16);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_NE(all[0].id, all[1].id);
-  EXPECT_NE(all[0].id, ring.ownerOf("ctx").id);
-  EXPECT_NE(all[1].id, ring.ownerOf("ctx").id);
-  // R = 0 and single-node rings disable the replica plane entirely.
-  EXPECT_TRUE(ring.replicasOf("ctx", 0).empty());
-  auto solo = Ring::make({{"solo", "/tmp/solo.sock"}}).value();
-  EXPECT_TRUE(solo.replicasOf("ctx", 2).empty());
-}
-
 TEST(RingTest, FindLooksUpMembers) {
   auto ring = Ring::make(threeNodes()).value();
   ASSERT_NE(ring.find("dv1"), nullptr);

@@ -1,10 +1,8 @@
 // Live-stack tests: SimFSClient / C API / I/O facades against a real
 // Daemon with a ThreadedSimulatorFleet (wall-clock, heavily time-scaled).
-#include "cluster/ring.hpp"
 #include "common/checksum.hpp"
 #include "dv/daemon.hpp"
 #include "dvlib/iolib.hpp"
-#include "dvlib/router.hpp"
 #include "dvlib/session.hpp"
 #include "dvlib/simfs_capi.hpp"
 #include "dvlib/simfs_client.hpp"
@@ -17,7 +15,6 @@
 #include <chrono>
 #include <future>
 #include <map>
-#include <span>
 #include <thread>
 
 namespace simfs::dvlib {
@@ -786,240 +783,6 @@ TEST(SessionRetryTest, ShedBeyondBudgetCompletesUnreachable) {
   EXPECT_EQ(st.code(), StatusCode::kUnreachable);
   EXPECT_EQ(t->batchIds().size(), 3u);  // the original + 2 budgeted resends
   (*session)->finalize();
-}
-
-// ------------------------------------------- replica lease fan-out (client)
-
-/// Per-endpoint traffic record of a scripted federation node.
-struct ScriptedNode {
-  std::atomic<int> batches{0};
-  std::atomic<int> cancels{0};
-  std::atomic<int> releases{0};
-  std::atomic<std::uint64_t> lastBatchId{0};
-  std::atomic<bool> replicaCapSeen{false};
-};
-
-/// A three-node federation where every endpoint is a scripted in-proc
-/// transport, like SheddingTransport but ring-aware: the owner pushes
-/// the requestId-0 kRingUpdate that advertises R before acking the
-/// hello (the daemon's bind ordering), acks batches as pending with a
-/// long estimated wait and retires them with kFileReady — so the
-/// session's power-of-two-choices picker deterministically prefers a
-/// replica once the links are up. Replicas ack everything resident, or
-/// answer whole-batch kNotLeased when `replicasAnswerNotLeased` is set.
-struct ScriptedFederation {
-  static constexpr std::int64_t kOwnerWait = 50'000'000;  // 50 ms
-
-  cluster::Ring ring;
-  std::string ownerId;
-  std::map<std::string, ScriptedNode> nodes;  // by endpoint; fixed keys
-  std::vector<std::unique_ptr<msg::Transport>> serverEnds;
-  std::mutex mu;
-  std::atomic<bool> replicasAnswerNotLeased{false};
-
-  ScriptedFederation()
-      : ring(cluster::Ring::make(
-                 {{"dvA", "ep-A"}, {"dvB", "ep-B"}, {"dvC", "ep-C"}},
-                 /*version=*/2)
-                 .value()),
-        ownerId(ring.ownerOf("live").id) {
-    for (const auto& n : ring.nodes()) nodes[n.endpoint];
-  }
-
-  ScriptedNode& at(const std::string& nodeId) {
-    return nodes.at(ring.find(nodeId)->endpoint);
-  }
-
-  std::shared_ptr<NodeRouter> router() {
-    std::vector<std::string> entries;
-    for (const auto& n : ring.nodes()) {
-      entries.push_back(n.id + "=" + n.endpoint);
-    }
-    const std::string ownerEp = ring.find(ownerId)->endpoint;
-    return std::make_shared<NodeRouter>(
-        ring,
-        [this, entries, ownerEp](const std::string& endpoint)
-            -> Result<std::unique_ptr<msg::Transport>> {
-          auto [serverEnd, clientEnd] = msg::makeInProcPair();
-          msg::Transport* raw = serverEnd.get();
-          ScriptedNode* node = &nodes.at(endpoint);
-          const bool isOwner = endpoint == ownerEp;
-          raw->setHandler([this, raw, node, isOwner,
-                           entries](msg::Message&& m) {
-            msg::Message reply;
-            reply.requestId = m.requestId;
-            switch (m.type) {
-              case msg::MsgType::kHello: {
-                if ((m.intArg2 & msg::kHelloCapReplica) != 0) {
-                  node->replicaCapSeen = true;
-                }
-                if (isOwner) {
-                  msg::Message push;
-                  push.type = msg::MsgType::kRingUpdate;
-                  push.requestId = 0;
-                  push.files = entries;
-                  push.intArg = 2;   // ring version
-                  push.intArg2 = 2;  // R
-                  (void)raw->send(push);
-                }
-                reply.type = msg::MsgType::kHelloAck;
-                reply.intArg = 7;  // clientId
-                (void)raw->send(reply);
-                break;
-              }
-              case msg::MsgType::kOpenBatchReq: {
-                ++node->batches;
-                node->lastBatchId = m.requestId;
-                reply.type = msg::MsgType::kOpenBatchAck;
-                if (!isOwner && replicasAnswerNotLeased) {
-                  reply.code =
-                      static_cast<std::int32_t>(StatusCode::kNotLeased);
-                  (void)raw->send(reply);
-                  break;
-                }
-                for (std::size_t i = 0; i < m.files.size(); ++i) {
-                  if (isOwner) {
-                    // Pending with a long wait: the picker learns the
-                    // owner is loaded, kFileReady below completes it.
-                    reply.ints.push_back(
-                        static_cast<std::int64_t>(StatusCode::kOk) << 1);
-                    reply.ints.push_back(kOwnerWait);
-                  } else {
-                    reply.ints.push_back(
-                        (static_cast<std::int64_t>(StatusCode::kOk) << 1) |
-                        1);
-                    reply.ints.push_back(0);
-                  }
-                }
-                (void)raw->send(reply);
-                if (isOwner) {
-                  for (const auto& f : m.files) {
-                    msg::Message ready;
-                    ready.type = msg::MsgType::kFileReady;
-                    ready.requestId = 0;
-                    ready.files = {f};
-                    (void)raw->send(ready);
-                  }
-                }
-                break;
-              }
-              case msg::MsgType::kReleaseReq: {
-                ++node->releases;
-                reply.type = msg::MsgType::kReleaseAck;
-                (void)raw->send(reply);
-                break;
-              }
-              case msg::MsgType::kCancelReq:
-                ++node->cancels;  // fire-and-forget: no reply
-                break;
-              default:
-                break;  // closeNotify and friends need no answer
-            }
-          });
-          std::lock_guard lock(mu);
-          serverEnds.push_back(std::move(serverEnd));
-          return std::move(clientEnd);
-        });
-  }
-};
-
-bool spinUntil(const std::function<bool()>& pred) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return pred();
-}
-
-TEST(ReplicaSpreadTest, LeasedVectoredAcquireIsOneRequestToOneEndpoint) {
-  ScriptedFederation fed;
-  auto connected = Session::connect(fed.router(), "live");
-  ASSERT_TRUE(connected.isOk()) << connected.status().toString();
-  std::shared_ptr<Session> session = std::move(*connected);
-
-  // Replica links are dialed lazily off the first batch, which still
-  // goes to the owner; its ack leaves ownerWait_ at 50 ms.
-  SimfsStatus status;
-  ASSERT_TRUE(session->acquire({"prime.snc"}, &status).isOk())
-      << status.error.toString();
-  ASSERT_TRUE(spinUntil([&] { return session->replicaEndpoints() == 2; }))
-      << "replica links never came up";
-
-  std::vector<std::string> files;
-  for (int i = 0; i < 64; ++i) {
-    files.push_back("spread_" + std::to_string(i) + ".snc");
-  }
-  ASSERT_TRUE(session->acquire(files, &status).isOk())
-      << status.error.toString();
-
-  // The 64-file acquire stayed ONE kOpenBatchReq on ONE endpoint — the
-  // vectored wire contract survives the replica spread, and with the
-  // owner loaded the p2c picker lands it on a leased replica.
-  ScriptedNode& owner = fed.at(fed.ownerId);
-  EXPECT_EQ(owner.batches.load(), 1);  // the priming batch only
-  int replicaBatches = 0;
-  ScriptedNode* serving = nullptr;
-  for (auto& [ep, node] : fed.nodes) {
-    if (&node == &owner) continue;
-    replicaBatches += node.batches.load();
-    if (node.batches.load() > 0) serving = &node;
-  }
-  ASSERT_EQ(replicaBatches, 1);
-  ASSERT_NE(serving, nullptr);
-  EXPECT_TRUE(serving->replicaCapSeen.load())
-      << "replica link must hello with kHelloCapReplica";
-  EXPECT_NE(serving->lastBatchId.load(), 0u);
-
-  // release() unwinds the references on the node that REGISTERED them:
-  // one kReleaseReq at the serving replica, none at the owner (which
-  // never heard of these opens).
-  ASSERT_TRUE(
-      session->release(std::span<const std::string>(files)).isOk());
-  EXPECT_EQ(serving->releases.load(), 1);
-  EXPECT_EQ(owner.releases.load(), 0);
-  session->finalize();
-}
-
-TEST(ReplicaSpreadTest, RevokedLeaseMidFlightRetriesOnOwner) {
-  ScriptedFederation fed;
-  fed.replicasAnswerNotLeased = true;  // every replica lost its lease
-  auto connected = Session::connect(fed.router(), "live");
-  ASSERT_TRUE(connected.isOk()) << connected.status().toString();
-  std::shared_ptr<Session> session = std::move(*connected);
-
-  SimfsStatus status;
-  ASSERT_TRUE(session->acquire({"prime.snc"}, &status).isOk())
-      << status.error.toString();
-  ASSERT_TRUE(spinUntil([&] { return session->replicaEndpoints() == 2; }))
-      << "replica links never came up";
-
-  // The batch lands on a replica (owner is loaded), bounces with
-  // kNotLeased, and must complete on the owner without surfacing any of
-  // that to the caller.
-  auto handle = session->acquireAsync({"revoked.snc"});
-  const Status st = handle.wait();
-  EXPECT_TRUE(st.isOk()) << st.toString();
-
-  ScriptedNode& owner = fed.at(fed.ownerId);
-  int replicaBatches = 0;
-  ScriptedNode* bounced = nullptr;
-  for (auto& [ep, node] : fed.nodes) {
-    if (&node == &owner) continue;
-    replicaBatches += node.batches.load();
-    if (node.batches.load() > 0) bounced = &node;
-  }
-  ASSERT_EQ(replicaBatches, 1);
-  ASSERT_NE(bounced, nullptr);
-  // The fallback unwound the replica first (cancel), then resent the
-  // batch to the owner under the SAME requestId — the dedup window
-  // absorbs a replica that raced its revocation and answered anyway.
-  EXPECT_EQ(bounced->cancels.load(), 1);
-  EXPECT_EQ(owner.batches.load(), 2);  // priming + the retried batch
-  EXPECT_NE(bounced->lastBatchId.load(), 0u);
-  EXPECT_EQ(owner.lastBatchId.load(), bounced->lastBatchId.load());
-  session->finalize();
 }
 
 TEST(DeadlineReapTest, ServerReapsExpiredWaitersWithTimedOut) {

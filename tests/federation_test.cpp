@@ -96,7 +96,7 @@ cluster::Ring fullRing(const std::string& tag) {
 }
 
 std::vector<Node> startCluster(const std::string& tag,
-                               const cluster::Ring& ring, int replicas = 0) {
+                               const cluster::Ring& ring) {
   std::vector<Node> nodes;
   for (int i = 0; i < kNodes; ++i) {
     Node node;
@@ -105,7 +105,6 @@ std::vector<Node> startCluster(const std::string& tag,
     options.workers = 2;
     options.nodeId = "dv" + std::to_string(i);
     options.ring = ring;
-    options.replicas = replicas;
     node.daemon = std::make_unique<Daemon>(options);
     node.store = std::make_unique<vfs::MemFileStore>();
     node.fleet = std::make_unique<simulator::ThreadedSimulatorFleet>(
@@ -146,9 +145,7 @@ void quiesce(std::vector<Node>& nodes) {
 
 /// Single-threaded replay of all accesses against one DataVirtualizer;
 /// returns the per-context availability sets (the federation oracle).
-/// `ctxOf` overrides the client->context assignment (default: modulo).
-std::vector<std::set<StepIndex>> replaySingleNode(int (*ctxOf)(int) =
-                                                      nullptr) {
+std::vector<std::set<StepIndex>> replaySingleNode() {
   ManualClock clock;
   struct RecLauncher final : SimLauncher {
     struct L {
@@ -183,7 +180,7 @@ std::vector<std::set<StepIndex>> replaySingleNode(int (*ctxOf)(int) =
     }
   };
   for (int c = 0; c < kClients; ++c) {
-    const int ctx = ctxOf != nullptr ? ctxOf(c) : c % kContexts;
+    const int ctx = c % kContexts;
     const auto client = dv.clientConnect(contextName(ctx)).value();
     for (const StepIndex step : accessesOf(c)) {
       const std::string file = cfgs[ctx].codec.outputFile(step);
@@ -687,27 +684,6 @@ TEST(FederationTest, BatchedOpenFollowsRedirect) {
   session->finalize();
 }
 
-// ----------------------------------------------------------- replica leases
-
-/// Zipf(~1.1) client fan-in over the context ranks: 4-2-1-1-1 across the
-/// nine clients, ctx0 hot — the serving skew the lease plane exists for.
-int zipfClientContext(int c) {
-  static constexpr int kMap[kClients] = {0, 0, 0, 0, 1, 1, 2, 3, 4};
-  return kMap[c];
-}
-
-/// Replica-side lease view of `ctx` on `node` (generation + step count),
-/// or nullopt while no lease has been applied yet.
-std::optional<LeaseView> replicaLeaseOf(const Node& node,
-                                        const std::string& ctx) {
-  for (const auto& sc : node.daemon->shardCounters()) {
-    for (const auto& [name, view] : sc.leases) {
-      if (name == ctx && view.replica) return view;
-    }
-  }
-  return std::nullopt;
-}
-
 bool pollUntil(const std::function<bool()>& pred, int seconds = 20) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
@@ -716,372 +692,6 @@ bool pollUntil(const std::function<bool()>& pred, int seconds = 20) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return pred();
-}
-
-/// Raw replica-capable read: dials `socketPath`, hellos into `ctx` with
-/// kHelloCapReplica, batch-opens `file`, and returns the per-file packed
-/// outcome (StatusCode * 2 + available) from the kOpenBatchAck — the
-/// ground truth of what THIS node serves, with no client-side fallback
-/// masking it. Returns -1 on any transport/protocol failure.
-std::int64_t probeReplicaOpen(const std::string& socketPath,
-                              const std::string& ctx,
-                              const std::string& file) {
-  auto conn = msg::unixSocketConnect(socketPath);
-  if (!conn.isOk()) return -1;
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<msg::Message> replies;
-  (*conn)->setHandler([&](msg::Message&& m) {
-    std::lock_guard lock(mu);
-    replies.push_back(std::move(m));
-    cv.notify_all();
-  });
-  const auto awaitReply = [&](std::uint64_t id) -> std::optional<msg::Message> {
-    std::unique_lock lock(mu);
-    msg::Message out;
-    const bool got = cv.wait_for(lock, std::chrono::seconds(10), [&] {
-      // The daemon's requestId-0 kRingUpdate push is filtered out here.
-      for (auto& r : replies) {
-        if (r.requestId != id) continue;
-        out = std::move(r);
-        return true;
-      }
-      return false;
-    });
-    if (!got) return std::nullopt;
-    return out;
-  };
-  msg::Message hello;
-  hello.type = msg::MsgType::kHello;
-  hello.requestId = 1;
-  hello.context = ctx;
-  hello.intArg2 = msg::kHelloCapReplica;
-  if (!(*conn)->send(hello).isOk()) return -1;
-  const auto helloAck = awaitReply(1);
-  if (!helloAck || helloAck->type != msg::MsgType::kHelloAck ||
-      helloAck->code != 0) {
-    (*conn)->close();
-    return -1;
-  }
-  msg::Message open;
-  open.type = msg::MsgType::kOpenBatchReq;
-  open.requestId = 2;
-  open.context = ctx;
-  open.files = {file};
-  std::int64_t packed = -1;
-  if ((*conn)->send(open).isOk()) {
-    const auto ack = awaitReply(2);
-    if (ack && ack->ints.size() >= 2) packed = ack->ints[0];
-  }
-  (*conn)->close();
-  return packed;
-}
-
-TEST(FederationTest, ZipfReplicaReadsMatchReplayAndSpreadServing) {
-  const std::string tag = "zipf";
-  const cluster::Ring ring = fullRing(tag);
-  auto nodes = startCluster(tag, ring, /*replicas=*/2);
-  auto router = dvlib::NodeRouter::overUnixSockets(ring);
-
-  // Phase A: the Zipf-skewed 9-client workload through routing-aware
-  // clients. Sessions learn R from the daemons' hello-time ring push and
-  // spread reads over owner + replicas on their own. Contexts run
-  // concurrently; clients SHARING a context run in client order — what a
-  // context produces depends on its access order, so this is the one
-  // schedule the sequential replay oracle can predict exactly.
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int ctx = 0; ctx < kContexts; ++ctx) {
-    threads.emplace_back([&, ctx] {
-      for (int c = 0; c < kClients; ++c) {
-        if (zipfClientContext(c) != ctx) continue;
-        auto client = dvlib::SimFSClient::connect(router, contextName(ctx));
-        if (!client.isOk()) {
-          ++failures;
-          return;
-        }
-        for (const StepIndex step : accessesOf(c)) {
-          const std::string file = fedConfig(ctx).codec.outputFile(step);
-          if (!(*client)->acquire({file}).isOk() ||
-              !(*client)->release(file).isOk()) {
-            ++failures;
-            return;
-          }
-        }
-        (*client)->finalize();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  ASSERT_EQ(failures.load(), 0);
-  quiesce(nodes);
-
-  // Parity: replica serving must not perturb WHAT exists. Owners hold
-  // exactly the single-node replay's availability sets; replicas, which
-  // only serve reads off leases, never produced a step.
-  const auto expected = replaySingleNode(zipfClientContext);
-  std::size_t producedTotal = 0;
-  for (int i = 0; i < kContexts; ++i) {
-    const int owner = std::stoi(ring.ownerOf(contextName(i)).id.substr(2));
-    const auto steps = fedConfig(i).geometry.numOutputSteps();
-    for (StepIndex s = 0; s < steps; ++s) {
-      EXPECT_EQ(nodes[owner].daemon->isAvailable(contextName(i), s),
-                expected[i].count(s) > 0)
-          << "context " << i << " step " << s << " owner dv" << owner;
-      for (int n = 0; n < kNodes; ++n) {
-        if (n == owner) continue;
-        EXPECT_FALSE(nodes[n].daemon->isAvailable(contextName(i), s))
-            << "replica dv" << n << " produced context " << i;
-      }
-    }
-    producedTotal += expected[i].size();
-  }
-
-  // Every acquire was served exactly once: either by its ring owner
-  // (stats.opens) or off a replica lease (replicaHits) — the two
-  // counters partition the workload, and kNotLeased bounces count in
-  // neither (the client's owner retry does).
-  std::uint64_t opens = 0;
-  std::uint64_t replicaHits = 0;
-  for (auto& n : nodes) {
-    opens += n.daemon->stats().opens;
-    for (const auto& sc : n.daemon->shardCounters()) {
-      replicaHits += sc.replicaHits;
-    }
-  }
-  EXPECT_EQ(opens + replicaHits,
-            static_cast<std::uint64_t>(kClients) * kAccessesPerClient);
-
-  // Phase B: with the working set resident and leases propagated (every
-  // produced step leased to both successors), hammer the hot context
-  // through one spread session — a visible share of the serving must
-  // land on the replicas.
-  ASSERT_TRUE(pollUntil([&] {
-    std::size_t leased = 0;
-    for (auto& n : nodes) {
-      for (const auto& sc : n.daemon->shardCounters()) {
-        leased += sc.leasedSteps;
-      }
-    }
-    return leased >= 2 * producedTotal;
-  })) << "lease propagation stalled";
-
-  const int hot = zipfClientContext(0);
-  std::vector<StepIndex> residentSteps(expected[hot].begin(),
-                                       expected[hot].end());
-  ASSERT_FALSE(residentSteps.empty());
-  auto connected = dvlib::Session::connect(router, contextName(hot));
-  ASSERT_TRUE(connected.isOk());
-  std::shared_ptr<dvlib::Session> session = std::move(*connected);
-  const std::string first =
-      fedConfig(hot).codec.outputFile(residentSteps[0]);
-  ASSERT_TRUE(session->acquire({first}).isOk());  // triggers link setup
-  ASSERT_TRUE(session->release(first).isOk());
-  ASSERT_TRUE(pollUntil([&] { return session->replicaEndpoints() == 2; }))
-      << "replica links did not come up";
-  const std::uint64_t hitsBefore = [&] {
-    std::uint64_t h = 0;
-    for (auto& n : nodes) {
-      for (const auto& sc : n.daemon->shardCounters()) h += sc.replicaHits;
-    }
-    return h;
-  }();
-  for (int i = 0; i < 200; ++i) {
-    const std::string file = fedConfig(hot).codec.outputFile(
-        residentSteps[static_cast<std::size_t>(i) % residentSteps.size()]);
-    ASSERT_TRUE(session->acquire({file}).isOk()) << "acquire " << i;
-    ASSERT_TRUE(session->release(file).isOk()) << "release " << i;
-  }
-  std::uint64_t hitsAfter = 0;
-  for (auto& n : nodes) {
-    for (const auto& sc : n.daemon->shardCounters()) {
-      hitsAfter += sc.replicaHits;
-    }
-  }
-  EXPECT_GT(hitsAfter, hitsBefore)
-      << "p2c spread never served a read off a lease";
-
-  session->finalize();
-  router->drainPool();
-  for (auto& n : nodes) {
-    n.fleet.reset();
-    n.daemon.reset();
-  }
-}
-
-TEST(FederationTest, EvictionRevokesLeaseBeforeStepMutates) {
-  // A context whose quota holds only 4 steps, on a 3-node ring with
-  // R = 2: seeding a 5th step forces an eviction at the owner, which
-  // must revoke the victim's lease (generation-fenced) BEFORE the step
-  // is erased — afterwards no replica may serve the victim, while the
-  // surviving steps keep serving.
-  const std::string tag = "evict";
-  const cluster::Ring ring = fullRing(tag);
-  auto cfg = fedConfig(0);
-  cfg.cacheQuotaBytes = 4 * cfg.outputStepBytes;
-
-  std::vector<Node> nodes;
-  for (int i = 0; i < kNodes; ++i) {
-    Node node;
-    Daemon::Options options;
-    options.shards = 2;
-    options.workers = 2;
-    options.nodeId = "dv" + std::to_string(i);
-    options.ring = ring;
-    options.replicas = 2;
-    node.daemon = std::make_unique<Daemon>(options);
-    node.store = std::make_unique<vfs::MemFileStore>();
-    node.fleet = std::make_unique<simulator::ThreadedSimulatorFleet>(
-        *node.daemon, *node.store, /*timeScale=*/1.0);
-    ASSERT_TRUE(
-        node.daemon
-            ->registerContext(std::make_unique<simmodel::SyntheticDriver>(cfg))
-            .isOk());
-    node.fleet->registerContext(cfg);
-    node.daemon->setLauncher(node.fleet.get());
-    node.socketPath = socketPathFor(tag, i);
-    ASSERT_TRUE(node.daemon->listen(node.socketPath).isOk());
-    nodes.push_back(std::move(node));
-  }
-  const std::string ctx = cfg.name;
-  const int owner = std::stoi(ring.ownerOf(ctx).id.substr(2));
-
-  // Fill the quota exactly; both replicas must converge on the full set.
-  for (StepIndex s = 0; s < 4; ++s) {
-    ASSERT_TRUE(nodes[owner].daemon->seedAvailableStep(ctx, s).isOk());
-  }
-  for (int n = 0; n < kNodes; ++n) {
-    if (n == owner) continue;
-    ASSERT_TRUE(pollUntil([&] {
-      const auto view = replicaLeaseOf(nodes[n], ctx);
-      return view && view->steps == 4;
-    })) << "lease propagation stalled on dv"
-        << n;
-  }
-  const std::uint64_t genBefore = replicaLeaseOf(
-      nodes[owner == 0 ? 1 : 0], ctx)->generation;
-
-  // Sanity: a replica serves a leased resident step locally (packed
-  // outcome = ok + available).
-  const int replicaIdx = owner == 0 ? 1 : 0;
-  EXPECT_EQ(probeReplicaOpen(nodes[replicaIdx].socketPath, ctx,
-                             cfg.codec.outputFile(0)),
-            1);
-
-  // The mutation: one step over quota evicts a victim at the owner.
-  ASSERT_TRUE(nodes[owner].daemon->seedAvailableStep(ctx, 4).isOk());
-  StepIndex victim = -1;
-  int present = 0;
-  for (StepIndex s = 0; s <= 4; ++s) {
-    if (nodes[owner].daemon->isAvailable(ctx, s)) {
-      ++present;
-    } else {
-      victim = s;
-    }
-  }
-  ASSERT_EQ(present, 4) << "quota did not evict exactly one step";
-  ASSERT_GE(victim, 0);
-
-  // Revocation lands with a bumped generation, and the revoke-before-
-  // mutate ordering means: once the victim is gone at the owner, NO
-  // replica serves it — the probe must answer kNotLeased, never stale
-  // data. The grant for step 4 arrives under the new generation.
-  for (int n = 0; n < kNodes; ++n) {
-    if (n == owner) continue;
-    ASSERT_TRUE(pollUntil([&] {
-      const auto view = replicaLeaseOf(nodes[n], ctx);
-      return view && view->generation > genBefore && view->steps == 4;
-    })) << "revocation did not reach dv"
-        << n;
-    EXPECT_EQ(probeReplicaOpen(nodes[n].socketPath, ctx,
-                               cfg.codec.outputFile(victim)),
-              static_cast<std::int64_t>(StatusCode::kNotLeased) * 2)
-        << "dv" << n << " served the evicted step";
-    EXPECT_EQ(probeReplicaOpen(nodes[n].socketPath, ctx,
-                               cfg.codec.outputFile(4)),
-              1)
-        << "dv" << n << " lost the surviving lease";
-  }
-
-  // The owner's revoke ledger drains once both replicas ack.
-  EXPECT_TRUE(pollUntil([&] {
-    return nodes[owner].daemon->federationCounters().contextsRevoking == 0;
-  })) << "revocation acks never drained";
-  EXPECT_GE(nodes[owner].daemon->federationCounters().leaseRevokesSent, 2u);
-
-  // The victim is still reachable through the front door: a routed
-  // client re-simulates it at the owner, transparently.
-  auto router = dvlib::NodeRouter::overUnixSockets(ring);
-  auto client = dvlib::SimFSClient::connect(router, ctx);
-  ASSERT_TRUE(client.isOk());
-  ASSERT_TRUE((*client)->acquire({cfg.codec.outputFile(victim)}).isOk());
-  (*client)->finalize();
-  router->drainPool();
-
-  for (auto& n : nodes) {
-    n.fleet.reset();
-    n.daemon.reset();
-  }
-}
-
-TEST(FederationTest, ReplicaDeathConvergesToOwner) {
-  // A replica daemon dying mid-workload must not fail a single acquire:
-  // the session's spread marks the dead link and retargets in-flight and
-  // future batches at the owner.
-  const std::string tag = "rdeath";
-  const cluster::Ring ring = fullRing(tag);
-  auto nodes = startCluster(tag, ring, /*replicas=*/2);
-  const std::string ctx = contextName(0);
-  const auto cfg = fedConfig(0);
-  const int owner = std::stoi(ring.ownerOf(ctx).id.substr(2));
-
-  constexpr StepIndex kResident = 8;
-  for (StepIndex s = 0; s < kResident; ++s) {
-    ASSERT_TRUE(nodes[owner].daemon->seedAvailableStep(ctx, s).isOk());
-  }
-  for (int n = 0; n < kNodes; ++n) {
-    if (n == owner) continue;
-    ASSERT_TRUE(pollUntil([&] {
-      const auto view = replicaLeaseOf(nodes[n], ctx);
-      return view && view->steps == kResident;
-    })) << "lease propagation stalled on dv"
-        << n;
-  }
-
-  auto router = dvlib::NodeRouter::overUnixSockets(ring);
-  auto connected = dvlib::Session::connect(router, ctx);
-  ASSERT_TRUE(connected.isOk());
-  std::shared_ptr<dvlib::Session> session = std::move(*connected);
-  ASSERT_TRUE(session->acquire({cfg.codec.outputFile(0)}).isOk());
-  ASSERT_TRUE(session->release(cfg.codec.outputFile(0)).isOk());
-  ASSERT_TRUE(pollUntil([&] { return session->replicaEndpoints() == 2; }))
-      << "replica links did not come up";
-
-  const int dying = owner == 0 ? 1 : 0;
-  for (int i = 0; i < 100; ++i) {
-    if (i == 30) {
-      // Kill one replica mid-stream: its socket goes away with it.
-      nodes[dying].fleet.reset();
-      nodes[dying].daemon.reset();
-    }
-    const std::string file = cfg.codec.outputFile(
-        static_cast<StepIndex>(i % static_cast<int>(kResident)));
-    ASSERT_TRUE(session->acquire({file}).isOk()) << "acquire " << i;
-    ASSERT_TRUE(session->release(file).isOk()) << "release " << i;
-  }
-  // The spread converged: the dead link is out of the rotation.
-  EXPECT_LE(session->replicaEndpoints(), 1u);
-  // The owner still holds every resident step.
-  for (StepIndex s = 0; s < kResident; ++s) {
-    EXPECT_TRUE(nodes[owner].daemon->isAvailable(ctx, s));
-  }
-
-  session->finalize();
-  router->drainPool();
-  for (auto& n : nodes) {
-    n.fleet.reset();
-    n.daemon.reset();
-  }
 }
 
 /// One admin-plane request/reply over a fresh Unix socket (the in-test
@@ -1359,6 +969,74 @@ TEST(FederationTest, StaleEpochHandoffIsFenced) {
     EXPECT_FALSE(n.daemon->isAvailable(contextName(0), 0));
     EXPECT_FALSE(n.daemon->isAvailable(contextName(0), 1));
   }
+  for (auto& n : nodes) {
+    n.fleet.reset();
+    n.daemon.reset();
+  }
+}
+
+TEST(FederationTest, StepProducedAfterSnapshotReachesNewOwner) {
+  // The handoff delta path: a moving context's snapshot streams to the
+  // new owner before the commit, while the old owner keeps serving. A
+  // step the old owner produces in that window is not in the snapshot;
+  // the produced hook forwards it as an epoch-tagged delta frame, so the
+  // new owner holds it once the change commits.
+  const std::string tag = "delta";
+  const cluster::Ring ring = fullRing(tag);  // version 2
+  auto nodes = startCluster(tag, ring);
+  const std::string ctx = contextName(0);
+  const auto cfg = fedConfig(0);
+  const std::string fromId = ring.ownerOf(ctx).id;
+  const auto next = ring.withoutNode(fromId, ring.version() + 1).value();
+  const int from = std::stoi(fromId.substr(2));
+  const int to = std::stoi(next.ownerOf(ctx).id.substr(2));
+
+  // One acquire + release straight on `node` (no router: nothing follows
+  // a redirect, so the step is produced exactly there).
+  const auto acquireOn = [&](int node, StepIndex step) {
+    auto conn = msg::unixSocketConnect(nodes[node].socketPath);
+    if (!conn) return false;
+    auto session = dvlib::Session::connect(std::move(*conn), ctx);
+    if (!session) return false;
+    const std::string file = cfg.codec.outputFile(step);
+    const bool ok = (*session)->acquire({file}).isOk() &&
+                    (*session)->release(file).isOk();
+    (*session)->finalize();
+    return ok;
+  };
+  constexpr StepIndex kInSnapshot = 1;
+  constexpr StepIndex kAfterSnapshot = 40;  // a different restart interval
+  ASSERT_TRUE(acquireOn(from, kInSnapshot));
+
+  msg::Message propose;
+  propose.type = msg::MsgType::kRingPropose;
+  propose.files = next.encodeEntries();
+  propose.intArg = static_cast<std::int64_t>(next.version());
+  auto proposeAck = adminCall(nodes[from].socketPath, propose);
+  ASSERT_TRUE(proposeAck.isOk());
+  ASSERT_EQ(proposeAck->code, 0) << proposeAck->text;
+  // The snapshot has streamed once the old owner's transfer is acked.
+  ASSERT_TRUE(pollUntil([&] {
+    const auto fed = nodes[from].daemon->federationCounters();
+    return fed.handoffsInflight == 0 && fed.handoffsCommitted > 0;
+  })) << "snapshot did not stream";
+
+  ASSERT_FALSE(nodes[from].daemon->isAvailable(ctx, kAfterSnapshot));
+  ASSERT_TRUE(acquireOn(from, kAfterSnapshot));
+  ASSERT_TRUE(nodes[from].daemon->isAvailable(ctx, kAfterSnapshot));
+
+  msg::Message commit = propose;
+  commit.type = msg::MsgType::kRingCommit;
+  auto commitAck = adminCall(nodes[from].socketPath, commit);
+  ASSERT_TRUE(commitAck.isOk());
+  ASSERT_EQ(commitAck->code, 0) << commitAck->text;
+
+  EXPECT_TRUE(pollUntil([&] {
+    return nodes[to].daemon->ring().version() == next.version() &&
+           nodes[to].daemon->isAvailable(ctx, kAfterSnapshot);
+  })) << "step produced after the snapshot never reached dv" << to;
+  EXPECT_TRUE(nodes[to].daemon->isAvailable(ctx, kInSnapshot));
+
   for (auto& n : nodes) {
     n.fleet.reset();
     n.daemon.reset();

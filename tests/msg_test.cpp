@@ -189,134 +189,13 @@ TEST(MessageCodecTest, RedirectTruncatedEntriesFailCleanly) {
   }
 }
 
-// --- replica lease plane (kLeaseGrant / kLeaseRevoke / kLeaseAck) -----------
-
-Message sampleLeaseGrant() {
-  Message m;
-  m.type = MsgType::kLeaseGrant;
-  m.requestId = 81;
-  m.context = "cosmo-5min";
-  m.intArg = 7;        // lease generation
-  m.text = "dv0";      // granting node's id
-  m.ints = {0, 1, 2, 5, 13};  // resident StepIndex values now covered
-  m.hops = 1;
-  return m;
-}
-
-TEST(MessageCodecTest, LeaseGrantRoundTrip) {
-  const auto m = sampleLeaseGrant();
-  const auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.isOk());
-  EXPECT_EQ(*decoded, m);
-  // The zero-copy receive path (what the replica's dispatch actually
-  // reads) sees the same generation, node id and step list.
-  const auto wire = encode(m);
-  const auto view = MessageView::parse(wire);
-  ASSERT_TRUE(view.isOk());
-  EXPECT_EQ(view->type(), MsgType::kLeaseGrant);
-  EXPECT_EQ(view->intArg(), 7);
-  EXPECT_EQ(view->text(), "dv0");
-  EXPECT_EQ(view->intCount(), 5u);
-  EXPECT_EQ(*view->intsBegin(), 0);
-}
-
-TEST(MessageCodecTest, LeaseRevokeRoundTrip) {
-  Message m;
-  m.type = MsgType::kLeaseRevoke;
-  m.requestId = 82;
-  m.context = "cosmo-5min";
-  m.intArg = 8;  // generation, already bumped past outstanding grants
-  m.text = "dv0";
-  m.ints = {5};  // the step about to be evicted
-  m.hops = 1;
-  auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.isOk());
-  EXPECT_EQ(*decoded, m);
-
-  // An EMPTY step list is the whole-context wipe used for resync after a
-  // peer link re-establishes — it must survive the wire distinctly from
-  // "no ints field at all" ever meaning something else.
-  m.ints.clear();
-  decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.isOk());
-  EXPECT_EQ(*decoded, m);
-  EXPECT_TRUE(decoded->ints.empty());
-}
-
-TEST(MessageCodecTest, LeaseAckRoundTrip) {
-  Message m;
-  m.type = MsgType::kLeaseAck;
-  m.requestId = 82;
-  m.context = "cosmo-5min";
-  m.code = static_cast<std::int32_t>(StatusCode::kOk);
-  m.intArg = 8;   // echoed generation
-  m.intArg2 = 1;  // acking a revoke
-  m.text = "dv1";
-  const auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.isOk());
-  EXPECT_EQ(*decoded, m);
-  const auto wire = encode(m);
-  const auto view = MessageView::parse(wire);
-  ASSERT_TRUE(view.isOk());
-  EXPECT_EQ(view->intArg(), 8);
-  EXPECT_EQ(view->intArg2(), 1);
-}
-
-// Hostile-length hardening: the step list rides the ints field, so a
-// forged count from a compromised peer must fail cleanly before any
-// reserve() or overread — the lease plane is daemon-to-daemon, but a
-// daemon must survive a hostile peer exactly like a hostile client.
-TEST(MessageCodecTest, LeaseGrantWithForgedStepCountFailsCleanly) {
-  const auto m = sampleLeaseGrant();
-  auto buf = encode(m);
-  const std::size_t countAt = buf.size() - (4 + 8 * m.ints.size());
-  for (int i = 0; i < 4; ++i) buf[countAt + i] = static_cast<char>(0xFF);
-  EXPECT_FALSE(decode(buf).isOk());
-}
-
-TEST(MessageCodecTest, LeaseGrantTruncatedStepsFailCleanly) {
-  const auto full = encode(sampleLeaseGrant());
-  for (std::size_t cut = 1; cut <= 4 + 8 * 5; ++cut) {
-    EXPECT_FALSE(
-        decode(std::string_view(full).substr(0, full.size() - cut)).isOk())
-        << "cut=" << cut;
-  }
-}
-
-TEST(MessageCodecTest, MutatedLeaseGrantFailsOrRoundTrips) {
-  const auto base = encode(sampleLeaseGrant());
-  for (std::size_t pos = 0; pos < base.size(); ++pos) {
-    for (const unsigned char v : {0x00, 0x01, 0x7F, 0xFF}) {
-      std::string buf = base;
-      buf[pos] = static_cast<char>(v);
-      const auto m = decode(buf);
-      if (m.isOk()) EXPECT_EQ(encode(*m), buf);
-    }
-  }
-}
-
-// --- replica-extended redirect (intArg2 = R) --------------------------------
-
-TEST(MessageCodecTest, RedirectCarriesReplicaCount) {
-  auto m = sampleRedirect();
-  m.intArg2 = 2;  // federation's read-replica count R
-  const auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.isOk());
-  EXPECT_EQ(*decoded, m);
-  const auto wire = encode(m);
-  const auto view = MessageView::parse(wire);
-  ASSERT_TRUE(view.isOk());
-  EXPECT_EQ(view->intArg2(), 2);
-}
-
 TEST(MessageCodecTest, LegacyRedirectIsBytePinned) {
-  // R rides the previously-unused intArg2, so a replica-aware daemon
-  // with replicas disabled (R = 0) must emit redirects byte-identical
-  // to a pre-replica daemon's — old clients see nothing new, and new
-  // clients decode R = 0 from old daemons.
-  auto withReplicasOff = sampleRedirect();
-  withReplicasOff.intArg2 = 0;  // what buildRedirect sets when R == 0
-  EXPECT_EQ(encode(withReplicasOff), encode(sampleRedirect()));
+  // Redirects leave intArg2 at 0, so they stay byte-identical to every
+  // earlier daemon's — old clients see nothing new, and new clients
+  // decode 0 from old daemons.
+  auto withZeroIntArg2 = sampleRedirect();
+  withZeroIntArg2.intArg2 = 0;  // what buildRedirect sets
+  EXPECT_EQ(encode(withZeroIntArg2), encode(sampleRedirect()));
   const auto decoded = decode(encode(sampleRedirect()));
   ASSERT_TRUE(decoded.isOk());
   EXPECT_EQ(decoded->intArg2, 0);
@@ -876,7 +755,7 @@ TEST(MessageCodecTest, GeometryTypesAppendAfterLegacyOps) {
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kHello), 1);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kOpenBatchReq), 25);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kCancelReq), 27);
-  EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kLeaseAck), 33);
+  EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kPong), 30);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kGeometryReq), 34);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kGeometryAck), 35);
 }
@@ -893,7 +772,7 @@ TEST(MessageCodecTest, ElasticMembershipTypesAppendAfterGeometryOps) {
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kContextHandoffAck), 41);
   // The capability bit and the advertised version range are wire
   // contract too: a renumbered cap bit would collide with kHelloCapShm /
-  // kHelloCapReplica on old daemons.
+  // the retired bit 2 on old daemons.
   EXPECT_EQ(kHelloCapVersion, 4);
   EXPECT_EQ(kProtocolVersionMin, 1);
   EXPECT_EQ(kProtocolVersionMax, 2);
@@ -964,10 +843,10 @@ TEST(MessageCodecTest, ContextHandoffFramesRoundTrip) {
   const auto dataBack = decode(encode(data));
   ASSERT_TRUE(dataBack.isOk());
   EXPECT_EQ(*dataBack, data);
-  // Final frame: intArg2 bit0 set, ints = [leaseGen, refs, (step, n)...].
+  // Final frame: intArg2 bit0 set, ints = [refs, (step, n)...].
   Message fin = sampleHandoff();
   fin.intArg2 = 1;
-  fin.ints = {9, 3, 17, 2, 42, 1};
+  fin.ints = {3, 17, 2, 42, 1};
   const auto finBack = decode(encode(fin));
   ASSERT_TRUE(finBack.isOk());
   EXPECT_EQ(*finBack, fin);
@@ -1051,11 +930,11 @@ TEST(MessageCodecTest, VersionedHelloIsAdditive) {
 }
 
 TEST(MessageCodecTest, LegacyAckBytesUnchangedByGeometryOps) {
-  // A lease ack (the last pre-geometry op) built today must encode to
-  // the exact bytes a pre-geometry build produced: same type id, same
+  // A pong (the last surviving pre-geometry op) built today must encode
+  // to the exact bytes a pre-geometry build produced: same type id, same
   // field order, no new fields smuggled into the frame.
   Message m;
-  m.type = MsgType::kLeaseAck;
+  m.type = MsgType::kPong;
   m.requestId = 82;
   m.context = "cosmo-5min";
   m.code = static_cast<std::int32_t>(StatusCode::kOk);
@@ -1068,7 +947,7 @@ TEST(MessageCodecTest, LegacyAckBytesUnchangedByGeometryOps) {
   // above (layout-defining).
   const auto decoded = decode(wire);
   ASSERT_TRUE(decoded.isOk());
-  EXPECT_EQ(decoded->type, MsgType::kLeaseAck);
+  EXPECT_EQ(decoded->type, MsgType::kPong);
   EXPECT_EQ(*decoded, m);
 }
 
