@@ -15,7 +15,6 @@
 // to link it.
 #if defined(SIMFS_HAVE_GBENCH) && __has_include(<benchmark/benchmark.h>)
 #define SIMFS_BENCH_GBENCH_ENABLED 1
-#include "msg/transport.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -88,12 +87,9 @@ inline int runMicroBenchmarks(int argc, char** argv,
   int cargc = static_cast<int>(cargv.size());
   benchmark::Initialize(&cargc, cargv.data());
   // Machine context stamped into every BENCH_*.json: perf gates need to
-  // know whether the runner could even exhibit parallel speedups
-  // (hw_cores) and which reactor the numbers were taken on.
+  // know whether the runner could even exhibit parallel speedups.
   benchmark::AddCustomContext(
       "hw_cores", std::to_string(std::thread::hardware_concurrency()));
-  benchmark::AddCustomContext("reactor_backend",
-                              std::string(msg::reactorBackendName()));
   if (benchmark::ReportUnrecognizedArguments(cargc, cargv.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -41,11 +41,10 @@ def main() -> int:
         if merged["context"] is None:
             merged["context"] = ctx
         elif isinstance(ctx, dict) and isinstance(merged["context"], dict):
-            # Machine facts (hw_cores, reactor_backend) must survive the
-            # merge even when the first input predates them.
-            for key in ("hw_cores", "reactor_backend"):
-                if key in ctx:
-                    merged["context"].setdefault(key, ctx[key])
+            # The machine fact (hw_cores) must survive the merge even
+            # when the first input predates it.
+            if "hw_cores" in ctx:
+                merged["context"].setdefault("hw_cores", ctx["hw_cores"])
         merged["sources"].append(path.name)
         for bench in data.get("benchmarks", []):
             entry = dict(bench)

@@ -1,6 +1,6 @@
 // Daemon serving-pipeline throughput (google-benchmark): N flood clients
-// stream kOpenReq at the sharded daemon and the measured rate is acked
-// requests per second end-to-end through
+// stream one-file kOpenBatchReq at the sharded daemon and the measured
+// rate is acked requests per second end-to-end through
 //
 //   transport -> dispatch -> shard queue -> worker batch drain -> DvShard
 //   -> buffered reply -> transport
@@ -67,7 +67,7 @@ simmodel::ContextConfig benchContext(int i) {
 struct FloodClient {
   std::unique_ptr<msg::Transport> transport;
   std::vector<std::string> files;  ///< pre-rendered hit filenames
-  msg::Message request;            ///< reused kOpenReq
+  msg::Message request;            ///< reused one-file kOpenBatchReq
   std::mutex mu;
   std::condition_variable cv;
   std::uint64_t acks = 0;
@@ -102,7 +102,7 @@ struct FloodClient {
   /// Streams `n` opens with at most kInFlightWindow unacked, then drains.
   void flood(int n) {
     msg::Message& m = request;
-    m.type = msg::MsgType::kOpenReq;
+    m.type = msg::MsgType::kOpenBatchReq;
     m.files.resize(1);
     for (int i = 0; i < n; ++i) {
       m.files[0] = files[static_cast<std::size_t>(i) % files.size()];

@@ -214,7 +214,6 @@ int driverInfo(const std::string& path) {
 const char* transportChoiceName(std::int64_t choice) {
   switch (static_cast<msg::TransportChoice>(choice)) {
     case msg::TransportChoice::kShm: return "shm";
-    case msg::TransportChoice::kUringSocket: return "socket+uring";
     case msg::TransportChoice::kSocket: return "socket";
     case msg::TransportChoice::kLegacy: break;
   }

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <limits>
 #include <set>
+#include <span>
 
 namespace simfs::dv {
 
@@ -27,9 +28,23 @@ std::int64_t negotiatedChoice(const msg::Transport& t) {
   if (t.kindName() == "shm") {
     return static_cast<std::int64_t>(msg::TransportChoice::kShm);
   }
-  return static_cast<std::int64_t>(msg::reactorBackendName() == "uring"
-                                       ? msg::TransportChoice::kUringSocket
-                                       : msg::TransportChoice::kSocket);
+  return static_cast<std::int64_t>(msg::TransportChoice::kSocket);
+}
+
+/// Protocol-version handshake of a kHello carrying kHelloCapVersion, for
+/// every client role: the client advertises ints = [min, max] and the
+/// daemon answers the highest version both sides speak. A missing max
+/// reads as min and a missing min as version 1, so a 0-int hello
+/// negotiates [1, 1] and a 1-int hello [v, v].
+Result<std::int64_t> negotiateVersion(std::span<const std::int64_t> ints) {
+  const std::int64_t theirMin = ints.empty() ? 1 : ints[0];
+  const std::int64_t theirMax = ints.size() > 1 ? ints[1] : theirMin;
+  const std::int64_t chosen =
+      std::min<std::int64_t>(msg::kProtocolVersionMax, theirMax);
+  if (chosen < std::max<std::int64_t>(msg::kProtocolVersionMin, theirMin)) {
+    return errFailedPrecondition("dv: no protocol version overlap");
+  }
+  return chosen;
 }
 
 void atomicMax(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
@@ -45,10 +60,8 @@ void atomicMax(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
 msg::MsgType ackTypeFor(msg::MsgType request) noexcept {
   switch (request) {
     case msg::MsgType::kHello: return msg::MsgType::kHelloAck;
-    case msg::MsgType::kOpenReq: return msg::MsgType::kOpenAck;
     case msg::MsgType::kOpenBatchReq: return msg::MsgType::kOpenBatchAck;
     case msg::MsgType::kCancelReq: return msg::MsgType::kCancelAck;
-    case msg::MsgType::kAcquireReq: return msg::MsgType::kAcquireAck;
     case msg::MsgType::kReleaseReq: return msg::MsgType::kReleaseAck;
     case msg::MsgType::kBitrepReq: return msg::MsgType::kBitrepAck;
     case msg::MsgType::kStatusReq: return msg::MsgType::kStatusAck;
@@ -434,22 +447,16 @@ void Daemon::dispatch(const std::shared_ptr<Session>& session,
           reply.intArg2 = negotiatedChoice(*session->transport);
         }
         if ((m.intArg2() & msg::kHelloCapVersion) != 0) {
-          std::int64_t theirMin = 1, theirMax = 1;
-          if (m.intCount() >= 2) {
-            auto it = m.intsBegin();
-            theirMin = *it;
-            theirMax = *++it;
+          std::vector<std::int64_t> advertised;
+          for (auto it = m.intsBegin(); it != m.intsEnd(); ++it) {
+            advertised.push_back(*it);
           }
-          const std::int64_t chosen =
-              std::min<std::int64_t>(msg::kProtocolVersionMax, theirMax);
-          if (chosen <
-              std::max<std::int64_t>(msg::kProtocolVersionMin, theirMin)) {
-            const Status st =
-                errFailedPrecondition("dv: no protocol version overlap");
-            reply.code = codeOf(st);
-            reply.text = st.message();
+          const auto chosen = negotiateVersion(advertised);
+          if (chosen.isOk()) {
+            reply.ints.push_back(*chosen);
           } else {
-            reply.ints.push_back(chosen);
+            reply.code = codeOf(chosen.status());
+            reply.text = chosen.status().message();
           }
         }
         noteHelloTransport(*session->transport);
@@ -1638,9 +1645,7 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
   // residue drains. The sticky membershipChanged_ gate keeps this off
   // every pre-elastic path.
   if (membershipChanged_.load(std::memory_order_relaxed) && client != 0 &&
-      (m.type == msg::MsgType::kOpenReq ||
-       m.type == msg::MsgType::kOpenBatchReq ||
-       m.type == msg::MsgType::kAcquireReq)) {
+      m.type == msg::MsgType::kOpenBatchReq) {
     const auto ringSnap = ringRef();
     const cluster::NodeInfo* owner = nullptr;
     if (ownedElsewhere(*ringSnap, session->context, &owner)) {
@@ -1661,24 +1666,17 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
       if ((m.intArg2 & msg::kHelloCapShm) != 0) {
         reply.intArg2 = negotiatedChoice(*session->transport);
       }
-      if ((m.intArg2 & msg::kHelloCapVersion) != 0 && !m.ints.empty()) {
-        // Protocol-version handshake: client advertises [min, max], the
-        // daemon answers the highest version both sides speak. A client
-        // whose floor is above this daemon's ceiling cannot proceed.
-        const std::int64_t theirMin = m.ints[0];
-        const std::int64_t theirMax =
-            m.ints.size() > 1 ? m.ints[1] : m.ints[0];
-        const std::int64_t chosen =
-            std::min<std::int64_t>(msg::kProtocolVersionMax, theirMax);
-        if (chosen < theirMin || chosen < msg::kProtocolVersionMin) {
-          const Status st =
-              errFailedPrecondition("dv: no protocol version overlap");
-          reply.code = codeOf(st);
-          reply.text = arena.copyString(st.message());
+      if ((m.intArg2 & msg::kHelloCapVersion) != 0) {
+        // A client whose floor is above this daemon's ceiling cannot
+        // proceed: the hello is rejected before any client is bound.
+        const auto chosen = negotiateVersion(m.ints);
+        if (!chosen.isOk()) {
+          reply.code = codeOf(chosen.status());
+          reply.text = arena.copyString(chosen.status().message());
           break;
         }
         auto negotiated = arena.allocSpan<std::int64_t>(1);
-        negotiated[0] = chosen;
+        negotiated[0] = *chosen;
         reply.ints = negotiated;
       }
       if (client != 0) {
@@ -1713,22 +1711,6 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
         reply.code = codeOf(id.status());
         reply.text = arena.copyString(id.status().message());
       }
-      break;
-    }
-    case msg::MsgType::kOpenReq: {
-      reply.type = msg::MsgType::kOpenAck;
-      if (m.files.empty()) {
-        reply.code = codeOf(errInvalidArgument("open: no file"));
-        break;
-      }
-      const auto res = shard.clientOpen(client, m.files[0]);
-      reply.code = codeOf(res.status);
-      if (!res.status.isOk()) reply.text = arena.copyString(res.status.message());
-      reply.intArg = res.available ? 1 : 0;
-      reply.intArg2 = res.estimatedWait;
-      // Echo the filename: the request's arena copy is stable until the
-      // reply has been flushed, so the span aliases it — no copy at all.
-      reply.files = m.files.first(1);
       break;
     }
     case msg::MsgType::kOpenBatchReq: {
@@ -1822,40 +1804,13 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
       sendReply = m.requestId != 0;
       break;
     }
-    case msg::MsgType::kAcquireReq: {
-      reply.type = msg::MsgType::kAcquireAck;
-      Status worst = Status::ok();
-      VDuration maxWait = 0;
-      auto ready = arena.allocSpan<std::string_view>(m.files.size());
-      std::size_t nReady = 0;
-      for (const auto f : m.files) {
-        const auto res = shard.clientOpen(client, f);
-        if (!res.status.isOk()) {
-          worst = res.status;
-          continue;
-        }
-        if (res.available) {
-          ready[nReady++] = f;  // immediately ready subset
-        } else {
-          maxWait = std::max(maxWait, res.estimatedWait);
-        }
-      }
-      reply.files = ready.first(nReady);
-      reply.code = codeOf(worst);
-      if (!worst.isOk()) reply.text = arena.copyString(worst.message());
-      reply.intArg2 = maxWait;
-      break;
-    }
-    case msg::MsgType::kCloseNotify: {
-      if (!m.files.empty()) {
-        (void)shard.clientRelease(client, m.files[0]);
-      }
-      sendReply = false;  // fire-and-forget (transparent-mode close)
-      break;
-    }
+    case msg::MsgType::kCloseNotify:
     case msg::MsgType::kReleaseReq: {
       // Batched like kOpenBatchReq: one message releases every file under
-      // the single shard-lock acquisition this drain already holds.
+      // the single shard-lock acquisition this drain already holds. A
+      // kCloseNotify (transparent-mode close) is the same release, fire-
+      // and-forget.
+      sendReply = m.type == msg::MsgType::kReleaseReq;
       reply.type = msg::MsgType::kReleaseAck;
       Status worst = m.files.empty() ? errInvalidArgument("release: no file")
                                      : Status::ok();
@@ -2028,7 +1983,7 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
       "shards=%zu;workers=%zu;node=%s;ring=%zu;redirects=%llu;"
       "forwarded=%llu;forward_drops=%llu;pings=%llu;pongs=%llu;"
       "peers_suspect=%llu;peers_dead=%llu;"
-      "conn_socket=%llu;conn_shm=%llu;conn_other=%llu;reactor=%.*s;"
+      "conn_socket=%llu;conn_shm=%llu;conn_other=%llu;reactor=epoll;"
       "proto=%lld;handoffs_inflight=%zu;handoffs_committed=%llu;"
       "handoffs_aborted=%llu",
       serving_.size(), workers_.size(),
@@ -2045,8 +2000,6 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
       static_cast<unsigned long long>(connShm_.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           connOther_.load(std::memory_order_relaxed)),
-      static_cast<int>(msg::reactorBackendName().size()),
-      msg::reactorBackendName().data(),
       static_cast<long long>(msg::kProtocolVersionMax), fed.handoffsInflight,
       static_cast<unsigned long long>(fed.handoffsCommitted),
       static_cast<unsigned long long>(fed.handoffsAborted));

@@ -11,8 +11,7 @@
 //   SIMFS_Bitrep                       -> bitrep()
 //
 // but every acquire — blocking or not, 1 file or 64 — is now ONE
-// kOpenBatchReq round trip resolved by the Session core; the old
-// per-file kOpenReq loop is gone. RequestIds map 1:1 onto AcquireHandles
+// kOpenBatchReq round trip resolved by the Session core. RequestIds map 1:1 onto AcquireHandles
 // held in a small table; wait/test/waitSome/testSome delegate to the
 // handle and erase the entry on completion, reproducing the original
 // consume-on-completion semantics. cancel() exposes the core's

@@ -27,56 +27,57 @@ enum class MsgType : std::uint16_t {
                    ///< client, socket only) and text carries the client's shm
                    ///< segment key when kHelloCapShm is set. Old daemons
                    ///< ignore both fields — the offer degrades transparently.
-  kHelloAck,       ///< DV->client: code=status, intArg=assigned client id.
+  kHelloAck = 2,   ///< DV->client: code=status, intArg=assigned client id.
                    ///< intArg2=TransportChoice the daemon selected; 0
                    ///< (kLegacy) from old daemons AND whenever the client did
                    ///< not advertise capabilities, so acks to legacy clients
                    ///< stay byte-identical to the pre-negotiation protocol.
 
+  // Values 3, 4, 6 and 7 are retired (single-file open/acquire ops, now
+  // served by kOpenBatchReq); do not reuse. Every op from here on carries
+  // an explicit value so the live wire bytes stay unchanged.
+
   // --- analysis-side data access (Sec. III-A, III-C) -----------------------
-  kOpenReq,        ///< files[0]=name: transparent open interception
-  kOpenAck,        ///< code=status, intArg: 1 if already available else 0
-  kCloseNotify,    ///< files[0]=name: close interception (deref), no reply
-  kAcquireReq,     ///< files[]: SIMFS_Acquire(_nb)
-  kAcquireAck,     ///< code=status, intArg=estimated wait (ns)
-  kReleaseReq,     ///< files[]: SIMFS_Release. Vectored like kOpenBatchReq:
+  kCloseNotify = 5,  ///< files[]: close interception (deref), no reply.
+                   ///< Served by the kReleaseReq release loop.
+  kReleaseReq = 8,  ///< files[]: SIMFS_Release. Vectored like kOpenBatchReq:
                    ///< the daemon drops every file's reference under ONE
                    ///< shard-lock acquisition.
-  kReleaseAck,     ///< code=worst per-file status, intArg=#refs released
-  kBitrepReq,      ///< files[0]=name: SIMFS_Bitrep
-  kBitrepAck,      ///< code=status, intArg: 1 bitwise match, 0 mismatch
-  kFileReady,      ///< DV->client: files[0]=name, code=status (also failures)
+  kReleaseAck = 9, ///< code=worst per-file status, intArg=#refs released
+  kBitrepReq = 10, ///< files[0]=name: SIMFS_Bitrep
+  kBitrepAck = 11, ///< code=status, intArg: 1 bitwise match, 0 mismatch
+  kFileReady = 12, ///< DV->client: files[0]=name, code=status (also failures)
 
   // --- simulator-side events (Sec. III-B) -----------------------------------
-  kSimHello,       ///< simulator->DV: intArg=job id
-  kSimFileCreated, ///< files[0]=name: create interception (redirect)
-  kSimFileClosed,  ///< files[0]=name, intArg=size: file is ready on disk
-  kSimFinished,    ///< job completed; code=status (failures propagate)
+  // Values 13 and 14 are retired (simulator hello / file-created events
+  // that nothing sent or served); do not reuse.
+  kSimFileClosed = 15, ///< files[0]=name, intArg=size: file is ready on disk
+  kSimFinished = 16, ///< job completed; code=status (failures propagate)
 
   // --- introspection ----------------------------------------------------------
-  kStatusReq,      ///< ask the DV for its aggregate statistics
-  kStatusAck,      ///< text="key=value;..." dump, intArg=stepsProduced
+  kStatusReq = 17, ///< ask the DV for its aggregate statistics
+  kStatusAck = 18, ///< text="key=value;..." dump, intArg=stepsProduced
 
   // --- generic --------------------------------------------------------------
-  kError,          ///< code=status, text=message
+  kError = 19,     ///< code=status, text=message
 
   // --- introspection (daemon pipeline) ---------------------------------------
-  kShardStatsReq,  ///< ask the daemon for per-shard serving counters
-  kShardStatsAck,  ///< files[i]="key=value;..." per shard, intArg=#shards,
+  kShardStatsReq = 20, ///< ask the daemon for per-shard serving counters
+  kShardStatsAck = 21, ///< files[i]="key=value;..." per shard, intArg=#shards,
                    ///< text="shards=N;workers=M"
 
   // --- federation (consistent-hash context routing) --------------------------
-  kRedirect,       ///< DV->client: context is owned by another node.
+  kRedirect = 22,  ///< DV->client: context is owned by another node.
                    ///< context=ctx, text=owner node id, files[i]=ring
                    ///< entries "id=endpoint", intArg=ring version.
-  kRingReq,        ///< ask a daemon for its ring membership table
-  kRingUpdate,     ///< DV->client: files[i]="id=endpoint", intArg=ring
+  kRingReq = 23,   ///< ask a daemon for its ring membership table
+  kRingUpdate = 24, ///< DV->client: files[i]="id=endpoint", intArg=ring
                    ///< version, text=answering node's id. Sent as the
                    ///< kRingReq reply and pushed when a daemon learns a
                    ///< newer table; receivers re-resolve routing.
 
   // --- vectored session ops (async DVLib core) --------------------------------
-  kOpenBatchReq,   ///< files[]: open N files in ONE round trip. The daemon
+  kOpenBatchReq = 25, ///< files[]: open N files in ONE round trip. The daemon
                    ///< resolves the whole batch under a single shard-lock
                    ///< acquisition; per-file outcomes come back in the ack.
                    ///< intArg2=relative deadline budget (ns, 0 = none): the
@@ -84,26 +85,26 @@ enum class MsgType : std::uint16_t {
                    ///< dispatch, and re-simulations whose waiters have all
                    ///< expired or cancelled are killed. Relative on the wire
                    ///< so cross-process clock skew cannot shift it.
-  kOpenBatchAck,   ///< code/text=worst per-file status. Outcome pairs are
+  kOpenBatchAck = 26, ///< code/text=worst per-file status. Outcome pairs are
                    ///< positional (request order): ints[2i]=per-file
                    ///< StatusCode*2 + (1 if already available),
                    ///< ints[2i+1]=per-file estimated wait (ns).
                    ///< intArg=#immediately available, intArg2=max
                    ///< estimated wait across the batch.
-  kCancelReq,      ///< files[]: release DV interest registered by an
+  kCancelReq = 27, ///< files[]: release DV interest registered by an
                    ///< abandoned acquire — per file, either the client's
                    ///< waiter entry (still pending) or one output-step
                    ///< reference (already delivered). Never shed: dropping
                    ///< a cancel would leak pinned cache slots. requestId 0
                    ///< = fire-and-forget (no ack), the DVLib default.
-  kCancelAck,      ///< code=status, intArg=#files whose interest was freed
+  kCancelAck = 28, ///< code=status, intArg=#files whose interest was freed
                    ///< (only sent for cancels with requestId != 0)
 
   // --- liveness (peer health / probing) ---------------------------------------
-  kPing,           ///< liveness probe: intArg=sender's monotonic sequence
+  kPing = 29,      ///< liveness probe: intArg=sender's monotonic sequence
                    ///< number. Sent daemon->daemon as the peer heartbeat and
                    ///< by `simfsctl ping`; answered inline, never queued.
-  kPong,           ///< probe reply: intArg echoes the ping sequence,
+  kPong = 30,      ///< probe reply: intArg echoes the ping sequence,
                    ///< text=answering node's id
 
   // Values 31-33 are retired; the ops below keep their wire values.
@@ -199,7 +200,7 @@ enum class TransportChoice : std::int64_t {
   kLegacy = 0,
   kSocket = 1,
   kShm = 2,
-  kUringSocket = 3,  ///< socket data plane, io_uring reactor backend
+  // 3 is retired (was a second socket reactor backend); do not reuse.
 };
 
 /// The one protocol message shape.

@@ -134,9 +134,4 @@ class UnixSocketServer {
 [[nodiscard]] Result<std::unique_ptr<Transport>> unixSocketConnect(
     const std::string& path);
 
-/// The reactor backend driving this process's socket endpoints: "uring"
-/// when SIMFS_REACTOR_BACKEND=uring and the kernel supports io_uring,
-/// otherwise "epoll" (including the fallback case, which logs a notice).
-[[nodiscard]] std::string_view reactorBackendName();
-
 }  // namespace simfs::msg

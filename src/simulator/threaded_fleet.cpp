@@ -117,10 +117,18 @@ void ThreadedSimulatorFleet::runJob(Job& job, SimJobId id,
   for (StepIndex s = spec.startStep; s <= spec.stopStep; ++s) {
     if (!sleepOrKilled(job, perf.tauSim)) return;
     const std::string file = cfg.codec.outputFile(s);
-    const auto st = store_.put(file, produce(spec, s));
-    if (!st.isOk()) {
-      daemon_.simulationFinished(id, st);
-      return;
+    // A step that is still resident is bitwise what this job would write
+    // (Sec. II), and readers may hold it open: rewriting it in place can
+    // hand them torn or recycled bytes. Skip the write but still report
+    // the step, so the daemon's timing observations see every interval.
+    // Two concurrent jobs can still both write a step that is not yet
+    // available; the store's put must tolerate that.
+    if (!daemon_.isAvailable(spec.context, s)) {
+      const auto st = store_.put(file, produce(spec, s));
+      if (!st.isOk()) {
+        daemon_.simulationFinished(id, st);
+        return;
+      }
     }
     daemon_.simulationFileWritten(id, file);
   }

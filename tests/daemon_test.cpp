@@ -13,6 +13,9 @@
 
 #include <chrono>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 namespace simfs::dv {
@@ -171,8 +174,8 @@ TEST_F(SocketDaemonTest, StatusRequestReportsCounters) {
 }
 
 TEST_F(SocketDaemonTest, PipelinedHelloThenOpenIsServedInOrder) {
-  // A client may stream kHello and kOpenReq in one burst without waiting
-  // for kHelloAck; the daemon must serve both, in order, on the context's
+  // A client may stream kHello and kOpenBatchReq in one burst without
+  // waiting for kHelloAck; the daemon must serve both, in order, on the context's
   // shard (the seed's synchronous handler guaranteed this too).
   auto conn = msg::unixSocketConnect(path_);
   ASSERT_TRUE(conn.isOk());
@@ -191,7 +194,7 @@ TEST_F(SocketDaemonTest, PipelinedHelloThenOpenIsServedInOrder) {
   hello.intArg = static_cast<std::int64_t>(msg::ClientRole::kAnalysis);
   ASSERT_TRUE((*conn)->send(hello).isOk());
   msg::Message open;
-  open.type = msg::MsgType::kOpenReq;
+  open.type = msg::MsgType::kOpenBatchReq;
   open.requestId = 2;
   open.files = {"out_0000000001.snc"};
   ASSERT_TRUE((*conn)->send(open).isOk());
@@ -202,7 +205,7 @@ TEST_F(SocketDaemonTest, PipelinedHelloThenOpenIsServedInOrder) {
   }
   EXPECT_EQ(replies[0].type, msg::MsgType::kHelloAck);
   EXPECT_EQ(replies[0].code, 0);
-  EXPECT_EQ(replies[1].type, msg::MsgType::kOpenAck);
+  EXPECT_EQ(replies[1].type, msg::MsgType::kOpenBatchAck);
   EXPECT_EQ(replies[1].code, 0) << replies[1].text;
   (*conn)->close();
 }
@@ -399,7 +402,7 @@ TEST(DaemonBackpressureTest, ShedsClientRequestsOverQueueCap) {
 
   // Open a missing step: the worker dives into launch() and stays there.
   msg::Message open;
-  open.type = msg::MsgType::kOpenReq;
+  open.type = msg::MsgType::kOpenBatchReq;
   open.requestId = 2;
   open.files = {cfg.codec.outputFile(0)};
   ASSERT_TRUE(conn->send(open).isOk());
@@ -419,7 +422,7 @@ TEST(DaemonBackpressureTest, ShedsClientRequestsOverQueueCap) {
     std::lock_guard lock(mu);
     const msg::Message* shedReply = replyFor(4);
     ASSERT_NE(shedReply, nullptr) << "shed reply must not wait for the worker";
-    EXPECT_EQ(shedReply->type, msg::MsgType::kOpenAck);
+    EXPECT_EQ(shedReply->type, msg::MsgType::kOpenBatchAck);
     EXPECT_EQ(static_cast<StatusCode>(shedReply->code),
               StatusCode::kUnavailable);
     EXPECT_EQ(replyFor(3), nullptr) << "within-cap request must not be shed";
@@ -512,6 +515,228 @@ TEST(ThreadedFleetTest, LaunchReapsFinishedJobThreads) {
   fleet.launch(id++, spec);
   EXPECT_LT(vmSizeKiB() - before, 64 * 1024);
   ASSERT_TRUE(idle());
+}
+
+/// Counts put() per file name over a MemFileStore.
+class CountingStore final : public vfs::FileStore {
+ public:
+  Status put(const std::string& name, std::string content) override {
+    {
+      std::lock_guard lock(mu_);
+      ++puts_[name];
+    }
+    return inner_.put(name, std::move(content));
+  }
+  Result<std::string> read(const std::string& name) const override {
+    return inner_.read(name);
+  }
+  bool exists(const std::string& name) const override {
+    return inner_.exists(name);
+  }
+  Result<vfs::FileInfo> stat(const std::string& name) const override {
+    return inner_.stat(name);
+  }
+  Status remove(const std::string& name) override {
+    return inner_.remove(name);
+  }
+  std::vector<std::string> list() const override { return inner_.list(); }
+  Bytes totalBytes() const override { return inner_.totalBytes(); }
+
+  int puts(const std::string& name) const {
+    std::lock_guard lock(mu_);
+    const auto it = puts_.find(name);
+    return it == puts_.end() ? 0 : it->second;
+  }
+  vfs::MemFileStore& inner() { return inner_; }
+
+ private:
+  vfs::MemFileStore inner_;
+  mutable std::mutex mu_;
+  std::map<std::string, int> puts_;
+};
+
+/// Forwards to the fleet and records every launched job's range.
+class RecordingLauncher final : public SimLauncher {
+ public:
+  explicit RecordingLauncher(SimLauncher& inner) : inner_(inner) {}
+  void launch(SimJobId job, const simmodel::JobSpec& spec) override {
+    {
+      std::lock_guard lock(mu_);
+      specs_.push_back(spec);
+    }
+    inner_.launch(job, spec);
+  }
+  void kill(SimJobId job) override { inner_.kill(job); }
+  std::vector<simmodel::JobSpec> specs() const {
+    std::lock_guard lock(mu_);
+    return specs_;
+  }
+
+ private:
+  SimLauncher& inner_;
+  mutable std::mutex mu_;
+  std::vector<simmodel::JobSpec> specs_;
+};
+
+TEST(ThreadedFleetTest, ResimulationSkipsResidentStepsAndFillsTheRest) {
+  // A re-simulation reproduces a resident step bitwise, and a reader may
+  // hold that step open: the job must not put it again. Every step of the
+  // range that was missing must still become available.
+  const ContextConfig cfg = socketConfig();
+  Daemon daemon;
+  CountingStore store;
+  simulator::ThreadedSimulatorFleet fleet(daemon, store, /*timeScale=*/0.1);
+  ASSERT_TRUE(daemon
+                  .registerContext(
+                      std::make_unique<simmodel::SyntheticDriver>(cfg))
+                  .isOk());
+  fleet.registerContext(cfg);
+  RecordingLauncher launcher(fleet);
+  daemon.setLauncher(&launcher);
+
+  constexpr StepIndex kResident = 5;
+  constexpr StepIndex kWanted = 6;
+  const std::string residentFile = cfg.codec.outputFile(kResident);
+  ASSERT_TRUE(store.inner().put(residentFile, "resident bytes").isOk());
+  ASSERT_TRUE(daemon.seedAvailableStep(cfg.name, kResident).isOk());
+
+  auto client = dvlib::SimFSClient::connect(daemon.connectInProc(), cfg.name);
+  ASSERT_TRUE(client.isOk()) << client.status().toString();
+  const std::string wanted = cfg.codec.outputFile(kWanted);
+  ASSERT_TRUE((*client)->acquire({wanted}).isOk());
+  ASSERT_TRUE((*client)->release(wanted).isOk());
+  (*client)->finalize();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fleet.activeJobs() != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  daemon.setLauncher(nullptr);
+
+  const auto specs = launcher.specs();
+  ASSERT_FALSE(specs.empty());
+  const simmodel::JobSpec& demand = specs.front();
+  ASSERT_LE(demand.startStep, kResident);
+  ASSERT_GE(demand.stopStep, kWanted);
+  EXPECT_EQ(store.puts(residentFile), 0);
+  EXPECT_EQ(*store.read(residentFile), "resident bytes");
+  for (StepIndex s = demand.startStep; s <= demand.stopStep; ++s) {
+    if (s == kResident) continue;
+    EXPECT_TRUE(daemon.isAvailable(cfg.name, s)) << "step " << s;
+    EXPECT_GE(store.puts(cfg.codec.outputFile(s)), 1) << "step " << s;
+  }
+}
+
+/// Sends one kHello with the version cap and the given advertised range
+/// over a fresh in-process connection; returns the kHelloAck.
+msg::Message versionedHello(Daemon& daemon, msg::ClientRole role,
+                            std::vector<std::int64_t> ints) {
+  auto conn = daemon.connectInProc();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<msg::Message> ack;
+  conn->setHandler([&](msg::Message&& m) {
+    std::lock_guard lock(mu);
+    ack = std::move(m);
+    cv.notify_all();
+  });
+  msg::Message hello;
+  hello.type = msg::MsgType::kHello;
+  hello.requestId = 1;
+  hello.context = "sock";
+  hello.intArg = static_cast<std::int64_t>(role);
+  hello.intArg2 = msg::kHelloCapVersion;
+  hello.ints = std::move(ints);
+  EXPECT_TRUE(conn->send(hello).isOk());
+  std::unique_lock lock(mu);
+  EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                          [&] { return ack.has_value(); }));
+  msg::Message out = ack.value_or(msg::Message{});
+  lock.unlock();
+  conn->close();
+  return out;
+}
+
+TEST(DaemonHelloTest, VersionNegotiationIsTheSameForEveryRole) {
+  // Missing max reads as min, missing min as version 1: 0-, 1- and 2-int
+  // hellos negotiate alike for simulators and analyses.
+  Daemon daemon;
+  ASSERT_TRUE(daemon
+                  .registerContext(std::make_unique<simmodel::SyntheticDriver>(
+                      socketConfig()))
+                  .isOk());
+  struct Case {
+    std::vector<std::int64_t> ints;
+    StatusCode code;
+    std::vector<std::int64_t> chosen;
+  };
+  const std::vector<Case> cases = {
+      {{}, StatusCode::kOk, {1}},
+      {{1}, StatusCode::kOk, {1}},
+      {{2}, StatusCode::kOk, {2}},
+      {{1, 2}, StatusCode::kOk, {2}},
+      {{1, 9}, StatusCode::kOk, {msg::kProtocolVersionMax}},
+      {{3, 9}, StatusCode::kFailedPrecondition, {}},
+      {{5}, StatusCode::kFailedPrecondition, {}},
+  };
+  for (const auto role :
+       {msg::ClientRole::kAnalysis, msg::ClientRole::kSimulator}) {
+    for (const auto& c : cases) {
+      const auto ack = versionedHello(daemon, role, c.ints);
+      const auto where = ::testing::Message()
+                         << "role " << static_cast<int>(role) << ", "
+                         << c.ints.size() << " ints";
+      EXPECT_EQ(ack.type, msg::MsgType::kHelloAck) << where;
+      EXPECT_EQ(static_cast<StatusCode>(ack.code), c.code) << where;
+      EXPECT_EQ(ack.ints, c.chosen) << where;
+    }
+  }
+}
+
+TEST(DaemonHelloTest, RetiredOpsAreAnsweredWithAnError) {
+  // Values 3, 4, 6, 7, 13 and 14 left MsgType; a stale client that still
+  // sends one gets a kError echoing its requestId, not silence.
+  Daemon daemon;
+  ASSERT_TRUE(daemon
+                  .registerContext(std::make_unique<simmodel::SyntheticDriver>(
+                      socketConfig()))
+                  .isOk());
+  auto conn = daemon.connectInProc();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<msg::Message> replies;
+  conn->setHandler([&](msg::Message&& m) {
+    std::lock_guard lock(mu);
+    replies.push_back(std::move(m));
+    cv.notify_all();
+  });
+  msg::Message hello;
+  hello.type = msg::MsgType::kHello;
+  hello.requestId = 1;
+  hello.context = "sock";
+  ASSERT_TRUE(conn->send(hello).isOk());
+  const std::vector<std::uint16_t> retired = {3, 4, 6, 7, 13, 14};
+  for (const auto value : retired) {
+    msg::Message m;
+    m.type = static_cast<msg::MsgType>(value);
+    m.requestId = 100 + value;
+    m.files = {"out_0000000001.snc"};
+    ASSERT_TRUE(conn->send(m).isOk());
+  }
+  std::unique_lock lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] {
+    return replies.size() == 1 + retired.size();
+  }));
+  EXPECT_EQ(replies[0].type, msg::MsgType::kHelloAck);
+  for (std::size_t i = 0; i < retired.size(); ++i) {
+    const auto& r = replies[1 + i];
+    EXPECT_EQ(r.type, msg::MsgType::kError) << retired[i];
+    EXPECT_EQ(r.requestId, 100u + retired[i]);
+    EXPECT_EQ(static_cast<StatusCode>(r.code), StatusCode::kInvalidArgument);
+  }
+  lock.unlock();
+  conn->close();
 }
 
 }  // namespace

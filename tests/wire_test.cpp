@@ -353,7 +353,7 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&pool, &fail, t] {
       Message m;
-      m.type = MsgType::kOpenReq;
+      m.type = MsgType::kOpenBatchReq;
       m.files = {"out_0000000001.snc"};
       m.intArg = t;
       for (int i = 0; i < 2000; ++i) {
