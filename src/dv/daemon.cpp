@@ -87,6 +87,13 @@ std::size_t resolveQueueCap(std::size_t fromOptions) {
   return 4096;  // generous: backstop against runaway producers, not a tuning knob
 }
 
+/// Requests a shard queue, a worker's batch and a drain's reply list hold
+/// before their vectors grow, and the block size of the per-shard request
+/// arenas: sized for a few thousand pipelined requests in flight, so a
+/// steady flood never reallocates them mid-run.
+constexpr std::size_t kWarmQueueDepth = 2048;
+constexpr std::size_t kServingArenaBytes = 256 * 1024;
+
 /// Environment interval knob in milliseconds, converted to VTime ns.
 VDuration intervalKnobNs(const char* name, std::int64_t defaultMs) {
   const auto ms = env::getInt(name).value_or(defaultMs);
@@ -157,6 +164,11 @@ struct Daemon::DaemonRequest {
 
 /// Per-shard serving state around the DvShard itself.
 struct Daemon::ShardServing {
+  ShardServing() {
+    queue.reserve(kWarmQueueDepth);
+    out.reserve(kWarmQueueDepth);
+  }
+
   mutable std::mutex qMutex;
   std::vector<DaemonRequest> queue;
   /// Request/reply storage, double-buffered: dispatchers bump-copy into
@@ -166,7 +178,8 @@ struct Daemon::ShardServing {
   /// drained arena after the reply flush — so arena memory is stable for
   /// exactly as long as anything points into it, and a warm drain cycle
   /// performs zero heap allocations.
-  msg::Arena arenas[2];
+  msg::Arena arenas[2] = {msg::Arena(kServingArenaBytes),
+                          msg::Arena(kServingArenaBytes)};
   int activeArena = 0;  ///< guarded by qMutex
 
   // Touched only by the one worker that drains this shard (plus readers
@@ -1499,6 +1512,7 @@ void Daemon::simulationFinished(SimJobId job, const Status& status) {
 void Daemon::workerLoop(std::size_t workerIndex) {
   Worker& w = *workers_[workerIndex];
   std::vector<DaemonRequest> batch;
+  batch.reserve(kWarmQueueDepth);
   const std::size_t stride = workers_.size();
   for (;;) {
     bool did = false;

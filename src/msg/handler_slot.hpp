@@ -2,19 +2,23 @@
 // implementations (socket reactor, in-proc pair, shm negotiator). Not
 // part of the public API — include only from src/msg/*.cpp.
 //
-//   * scratch buffers — per-thread stack of WireBuffers for view
-//     deliveries that start from an owned Message.
-//   * HandlerSlot — at most one of the two handler kinds installed
-//     (latest wins) plus the pre-handler backlog.
-//   * installAndReplay — the setHandler/setViewHandler body: install,
-//     then replay the backlog in order on the calling thread.
+// Every transport hands MessageViews to ONE view handler; a message that
+// arrives before the handler exists (or behind a replay in progress) is
+// kept as an encoded frame, never as an owned Message.
+//   * scratch buffers — per-thread stack of WireBuffers: in-proc sends
+//     encode into one for the peer's view, and backlog frames are drawn
+//     from it and returned to it after replay.
+//   * HandlerSlot — the installed view handler plus the backlog.
+//   * installAndReplay — the setViewHandler body: install, then replay the
+//     backlog in order on the calling thread.
+//   * deliverView — hand one received view to the handler, or copy its
+//     frame into the backlog.
 #pragma once
 
 #include "common/log.hpp"
 #include "msg/message.hpp"
 #include "msg/transport.hpp"
 
-#include <iterator>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -22,11 +26,10 @@
 
 namespace simfs::msg::detail {
 
-/// Per-thread stack of scratch WireBuffers for view deliveries that start
-/// from an owned Message (in-proc sends, backlog replay, legacy-handler
-/// adaptation). A STACK, not a single buffer: a handler that replies
-/// inline over another in-proc transport nests a second delivery while
-/// the outer view still references the outer scratch buffer.
+/// Per-thread stack of scratch WireBuffers. A STACK, not a single buffer:
+/// a handler that replies inline over another in-proc transport nests a
+/// second delivery while the outer view still references the outer
+/// scratch buffer.
 inline std::vector<WireBuffer>& scratchStack() {
   thread_local std::vector<WireBuffer> stack;
   return stack;
@@ -47,96 +50,72 @@ inline void releaseScratch(WireBuffer&& b) {
   stack.push_back(std::move(b));
 }
 
-/// Encodes `m` (Message or MessageRef) into a scratch buffer and hands
-/// the parsed view to `handler` — the adapter between owned messages and
-/// the zero-copy receive contract.
-template <typename M>
-void deliverAsView(const Transport::ViewHandler& handler, const M& m) {
-  WireBuffer scratch = acquireScratch();
-  encodeInto(m, scratch);
-  auto view = MessageView::parse(scratch.payload());
+/// The view over a frame this process encoded itself.
+inline MessageView viewOf(const WireBuffer& frame) {
+  auto view = MessageView::parse(frame.payload());
   SIMFS_CHECK(view.isOk());  // our own encoder output always parses
-  handler(*view);
-  releaseScratch(std::move(scratch));
+  return *view;
 }
 
-/// The receive-side handler state shared by the transports: at most one
-/// of the two handler kinds installed (latest wins), plus the pre-handler
-/// backlog. Handlers live behind shared_ptr so delivery copies a pointer
-/// under the lock instead of a std::function (whose captures would
-/// otherwise reallocate on every message).
+/// The receive-side handler state shared by the transports. The handler
+/// lives behind shared_ptr so delivery copies a pointer under the lock
+/// instead of a std::function (whose captures would otherwise reallocate
+/// on every message).
 struct HandlerSlot {
-  std::shared_ptr<Transport::Handler> onMessage;
-  std::shared_ptr<Transport::ViewHandler> onView;
-  bool draining = false;  ///< a setHandler replay is in flight
-  std::vector<Message> backlog;
+  std::shared_ptr<Transport::ViewHandler> handler;
+  bool draining = false;  ///< a replay is in flight
+  std::vector<WireBuffer> backlog;  ///< encoded frames awaiting `handler`
 
-  [[nodiscard]] bool any() const noexcept {
-    return onMessage != nullptr || onView != nullptr;
+  /// True when a delivery must append to the backlog: no handler yet, or
+  /// a replay is running and the message must not overtake it.
+  [[nodiscard]] bool mustQueue() const noexcept {
+    return handler == nullptr || draining;
   }
 };
 
-/// setHandler/setViewHandler body shared by the implementations: installs
-/// the handler (exactly one of `h`/`vh`) and replays the backlog in order
-/// on the calling thread. `draining` makes concurrent sends append behind
-/// the replay instead of overtaking.
+/// setViewHandler body shared by the implementations: installs `h` and
+/// replays the backlog in order on the calling thread. `draining` makes
+/// concurrent deliveries append behind the replay instead of overtaking.
 template <typename Lockable>
-void installAndReplay(Lockable& mutex, HandlerSlot& slot, Transport::Handler h,
-                      Transport::ViewHandler vh) {
+void installAndReplay(Lockable& mutex, HandlerSlot& slot,
+                      Transport::ViewHandler h) {
   std::unique_lock lock(mutex);
-  if (h) {
-    slot.onMessage = std::make_shared<Transport::Handler>(std::move(h));
-    slot.onView.reset();
-  } else if (vh) {
-    slot.onView = std::make_shared<Transport::ViewHandler>(std::move(vh));
-    slot.onMessage.reset();
-  } else {
-    slot.onMessage.reset();
-    slot.onView.reset();
-    return;
-  }
-  if (slot.backlog.empty()) return;
+  slot.handler =
+      h ? std::make_shared<Transport::ViewHandler>(std::move(h)) : nullptr;
+  if (slot.handler == nullptr || slot.backlog.empty()) return;
   slot.draining = true;
-  while (!slot.backlog.empty()) {
-    std::vector<Message> batch(std::make_move_iterator(slot.backlog.begin()),
-                               std::make_move_iterator(slot.backlog.end()));
-    slot.backlog.clear();
-    const auto msgHandler = slot.onMessage;
-    const auto viewHandler = slot.onView;
+  while (slot.handler != nullptr && !slot.backlog.empty()) {
+    std::vector<WireBuffer> batch;
+    batch.swap(slot.backlog);
+    const auto handler = slot.handler;
     lock.unlock();
-    for (auto& m : batch) {
-      if (viewHandler) {
-        deliverAsView(*viewHandler, m);
-      } else {
-        (*msgHandler)(std::move(m));
-      }
+    for (auto& frame : batch) {
+      (*handler)(viewOf(frame));
+      releaseScratch(std::move(frame));
     }
     lock.lock();
   }
   slot.draining = false;
 }
 
-/// Hands one decoded view to the slot's handler: in place for a view
-/// handler, as an owned materialization for a legacy handler or the
-/// pre-handler backlog.
+/// Hands one received view to the slot's handler in place, or copies its
+/// frame into the backlog when the message must wait.
 template <typename Lockable>
 void deliverView(Lockable& mutex, HandlerSlot& slot, const MessageView& view) {
-  std::shared_ptr<Transport::Handler> h;
-  std::shared_ptr<Transport::ViewHandler> vh;
+  std::shared_ptr<Transport::ViewHandler> h;
   {
     std::lock_guard lock(mutex);
-    if (!slot.any() || slot.draining) {
-      slot.backlog.push_back(view.toMessage());
+    if (slot.mustQueue()) {
+      WireBuffer frame = acquireScratch();
+      frame.beginFrame();
+      frame.append(view.payload().data(), view.payload().size());
+      frame.endFrame();
+      slot.backlog.push_back(std::move(frame));
       return;
     }
-    vh = slot.onView;
-    h = slot.onMessage;
+    h = slot.handler;
   }
-  if (vh) {
-    (*vh)(view);
-  } else {
-    (*h)(view.toMessage());
-  }
+  (*h)(view);
 }
 
 }  // namespace simfs::msg::detail

@@ -1,5 +1,6 @@
 #include "msg/message.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace simfs::msg {
@@ -67,11 +68,10 @@ void putStr(Sink& out, std::string_view s) {
   return v;
 }
 
-/// The one serializer: works for Message (std::string fields / vectors)
-/// and MessageRef (string_views / spans) alike — both expose the same
-/// member names, so the wire bytes are identical by construction.
-template <typename M, typename Sink>
-void encodePayloadImpl(const M& m, Sink& out) {
+/// The one serializer, templated on the sink only: owned Messages reach
+/// it through RefOf, so there is exactly one field order on the wire.
+template <typename Sink>
+void encodePayloadImpl(const MessageRef& m, Sink& out) {
   putU16(out, static_cast<std::uint16_t>(m.type));
   putU64(out, m.requestId);
   putU32(out, static_cast<std::uint32_t>(m.code));
@@ -84,27 +84,6 @@ void encodePayloadImpl(const M& m, Sink& out) {
   for (const auto& f : m.files) putStr(out, f);
   putU32(out, static_cast<std::uint32_t>(m.ints.size()));
   for (const std::int64_t v : m.ints) putU64(out, static_cast<std::uint64_t>(v));
-}
-
-template <typename M>
-void encodeImpl(const M& m, WireBuffer& out) {
-  out.beginFrame();
-  encodePayloadImpl(m, out);
-  out.endFrame();
-}
-
-/// Mirrors encodePayloadImpl field for field; the two are kept adjacent so
-/// a codec change cannot update one without the other (and the fuzz test
-/// cross-checks them on every message shape).
-template <typename M>
-std::size_t encodedSizeImpl(const M& m) {
-  std::size_t n = 2 + 8 + 4 + 8 + 8 + 2;  // type..hops fixed header
-  n += 4 + m.context.size();
-  n += 4 + m.text.size();
-  n += 4;
-  for (const auto& f : m.files) n += 4 + f.size();
-  n += 4 + 8 * m.ints.size();
-  return n;
 }
 
 /// Bounds-checked cursor used only by parse(); after validation the view
@@ -187,6 +166,7 @@ std::int64_t MessageView::IntIterator::operator*() const {
 Result<MessageView> MessageView::parse(std::string_view payload) {
   Reader r(payload);
   MessageView v;
+  v.payload_ = payload;
   std::uint16_t type = 0;
   std::uint32_t code = 0;
   std::uint64_t intArg = 0;
@@ -251,38 +231,48 @@ Message MessageView::toMessage() const {
 
 // --------------------------------------------------------------------- codec
 
-void encodeInto(const Message& m, WireBuffer& out) { encodeImpl(m, out); }
+RefOf::RefOf(const Message& m) {
+  std::span<std::string_view> files;
+  if (m.files.size() <= kInlineFiles) {
+    files = std::span(inline_.data(), m.files.size());
+  } else {
+    spilled_.resize(m.files.size());
+    files = spilled_;
+  }
+  std::copy(m.files.begin(), m.files.end(), files.begin());
+  ref_.type = m.type;
+  ref_.requestId = m.requestId;
+  ref_.context = m.context;
+  ref_.files = files;
+  ref_.ints = m.ints;
+  ref_.code = m.code;
+  ref_.intArg = m.intArg;
+  ref_.intArg2 = m.intArg2;
+  ref_.hops = m.hops;
+  ref_.text = m.text;
+}
 
-void encodeInto(const MessageRef& m, WireBuffer& out) { encodeImpl(m, out); }
+void encodeInto(const MessageRef& m, WireBuffer& out) {
+  out.beginFrame();
+  encodePayloadImpl(m, out);
+  out.endFrame();
+}
 
-std::size_t encodedSize(const Message& m) { return encodedSizeImpl(m); }
-
-std::size_t encodedSize(const MessageRef& m) { return encodedSizeImpl(m); }
-
-void encodeToBuffer(const Message& m, char* dst) {
-  FixedSink sink{dst};
-  encodePayloadImpl(m, sink);
+/// Mirrors encodePayloadImpl field for field; the two are kept adjacent so
+/// a codec change cannot update one without the other.
+std::size_t encodedSize(const MessageRef& m) {
+  std::size_t n = 2 + 8 + 4 + 8 + 8 + 2;  // type..hops fixed header
+  n += 4 + m.context.size();
+  n += 4 + m.text.size();
+  n += 4;
+  for (const auto f : m.files) n += 4 + f.size();
+  n += 4 + 8 * m.ints.size();
+  return n;
 }
 
 void encodeToBuffer(const MessageRef& m, char* dst) {
   FixedSink sink{dst};
   encodePayloadImpl(m, sink);
-}
-
-Message materialize(const MessageRef& m) {
-  Message out;
-  out.type = m.type;
-  out.requestId = m.requestId;
-  out.context.assign(m.context);
-  out.files.reserve(m.files.size());
-  for (const auto f : m.files) out.files.emplace_back(f);
-  out.ints.assign(m.ints.begin(), m.ints.end());
-  out.code = m.code;
-  out.intArg = m.intArg;
-  out.intArg2 = m.intArg2;
-  out.hops = m.hops;
-  out.text.assign(m.text);
-  return out;
 }
 
 MessageRef copyToArena(const MessageView& v, Arena& arena) {
@@ -310,7 +300,7 @@ MessageRef copyToArena(const MessageView& v, Arena& arena) {
 
 std::string encode(const Message& m) {
   WireBuffer buf;
-  encodeInto(m, buf);
+  encodeInto(RefOf(m).ref(), buf);
   return std::string(buf.payload());
 }
 

@@ -10,6 +10,7 @@
 #include "common/types.hpp"
 #include "msg/wire.hpp"
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -327,7 +328,11 @@ class MessageView {
     return nFiles_ == 0 ? std::string_view() : *filesBegin();
   }
 
-  /// Materializes an owned Message (the legacy decode() result).
+  /// The whole encoded payload the view was parsed from — what a
+  /// transport copies to keep a message past the callback as a frame.
+  [[nodiscard]] std::string_view payload() const noexcept { return payload_; }
+
+  /// Materializes an owned Message (the decode() result).
   [[nodiscard]] Message toMessage() const;
 
  private:
@@ -337,6 +342,7 @@ class MessageView {
   std::int64_t intArg_ = 0;
   std::int64_t intArg2_ = 0;
   std::uint16_t hops_ = 0;
+  std::string_view payload_;
   std::string_view context_;
   std::string_view text_;
   std::string_view filesRegion_;  ///< the validated files[] byte region
@@ -345,29 +351,42 @@ class MessageView {
   std::size_t nInts_ = 0;
 };
 
+/// A MessageRef over an owned Message's storage: how an owned message
+/// enters the one (ref) send path. The files[] views live inline for up
+/// to kInlineFiles entries, so borrowing a small message allocates
+/// nothing. Valid while `m` lives unchanged; not copyable, because the
+/// ref points into the object itself.
+class RefOf {
+ public:
+  explicit RefOf(const Message& m);
+  RefOf(const RefOf&) = delete;
+  RefOf& operator=(const RefOf&) = delete;
+
+  [[nodiscard]] const MessageRef& ref() const noexcept { return ref_; }
+
+ private:
+  static constexpr std::size_t kInlineFiles = 8;
+  std::array<std::string_view, kInlineFiles> inline_;
+  std::vector<std::string_view> spilled_;  ///< more than kInlineFiles files
+  MessageRef ref_;
+};
+
 /// Serializes `m` as ONE COMPLETE FRAME (u32 length prefix + payload)
 /// directly into `out`: beginFrame / payload bytes / endFrame, no
 /// intermediate string and no re-copy. out.payload() is byte-identical
-/// to encode(m) — pinned by the golden-bytes test.
-void encodeInto(const Message& m, WireBuffer& out);
+/// to encode() of the same message — pinned by the golden-bytes test.
 void encodeInto(const MessageRef& m, WireBuffer& out);
 
-/// Exact encode()d payload size of `m` (no outer frame header), computed
+/// Exact encoded payload size of `m` (no outer frame header), computed
 /// arithmetically without serializing — how the shm transport reserves a
 /// ring extent before encoding straight into it.
-[[nodiscard]] std::size_t encodedSize(const Message& m);
 [[nodiscard]] std::size_t encodedSize(const MessageRef& m);
 
 /// Serializes `m`'s payload (no outer frame) into caller-provided memory.
-/// Writes exactly encodedSize(m) bytes; the bytes are identical to
-/// encode(m). The shm send path uses this to encode directly into a
+/// Writes exactly encodedSize(m) bytes, identical to encodeInto's
+/// payload. The shm send path uses this to encode directly into a
 /// reserved ring slot — zero intermediate buffers.
-void encodeToBuffer(const Message& m, char* dst);
 void encodeToBuffer(const MessageRef& m, char* dst);
-
-/// Materializes an owned Message from a send ref (legacy-transport
-/// interop; the zero-copy paths never call this).
-[[nodiscard]] Message materialize(const MessageRef& m);
 
 /// Deep-copies a view into `arena` and returns a MessageRef over the
 /// stable arena storage — how a request outlives the receive buffer
@@ -375,7 +394,7 @@ void encodeToBuffer(const MessageRef& m, char* dst);
 [[nodiscard]] MessageRef copyToArena(const MessageView& v, Arena& arena);
 
 /// Serializes a message (without any outer framing). Thin wrapper over
-/// encodeInto, kept for tests and cold paths.
+/// encodeInto(RefOf(m)), kept for tests and cold paths.
 [[nodiscard]] std::string encode(const Message& m);
 
 /// Parses an encode()d buffer into an owned Message. Thin wrapper over

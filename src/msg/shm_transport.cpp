@@ -148,7 +148,9 @@ std::unique_ptr<ShmSegment> openSegment(const std::string& key) {
 ///     constructs it after deciding to accept, and its first send (the
 ///     kHelloAck, over the ring) is what tells the client so.
 class ShmTransport final : public Transport {
-  enum class State { kPassthrough, kNegotiating, kShm, kSocket };
+  /// kSettling: the daemon has answered and pending_ is being flushed to
+  /// the chosen channel; sends still buffer behind the flush.
+  enum class State { kPassthrough, kNegotiating, kSettling, kShm, kSocket };
 
  public:
   ShmTransport(std::unique_ptr<Transport> socket,
@@ -175,7 +177,7 @@ class ShmTransport final : public Transport {
     stopConsumer();
     // Neutralize the socket callbacks (they capture `this`), then let the
     // socket's own destructor handshake wait out any in-flight delivery.
-    socket_->setHandler(nullptr);
+    socket_->setViewHandler(nullptr);
     socket_->setCloseHandler(nullptr);
     // Quiesce via the socket's destructor WITHOUT nulling the member
     // first: a close callback copied out before the null-install above
@@ -187,15 +189,37 @@ class ShmTransport final : public Transport {
     (void)socket_.release();
   }
 
-  Status send(const Message& m) override { return sendImpl(m); }
-  Status send(const MessageRef& m) override { return sendImpl(m); }
-
-  void setHandler(Handler handler) override {
-    detail::installAndReplay(slotMutex_, slot_, std::move(handler), nullptr);
+  Status send(const MessageRef& m) override {
+    std::unique_lock lock(mutex_);
+    switch (state_) {
+      case State::kPassthrough:
+        if (m.type == MsgType::kHello && shmNegotiationEnabled()) {
+          return startNegotiation(m, lock);
+        }
+        [[fallthrough]];
+      case State::kSocket:
+        lock.unlock();
+        return socket_->send(m);
+      case State::kNegotiating:
+      case State::kSettling: {
+        // FIFO across the upgrade: nothing may travel on either channel
+        // until the daemon's answer picks the one channel this session
+        // will ever use, and the buffered frames have gone out on it. The
+        // handshake is one RTT; the buffer stays tiny.
+        WireBuffer frame = detail::acquireScratch();
+        encodeInto(m, frame);
+        pending_.push_back(std::move(frame));
+        return Status::ok();
+      }
+      case State::kShm:
+        lock.unlock();
+        return shmSend(m);
+    }
+    return errInternal("shm: unreachable");
   }
 
   void setViewHandler(ViewHandler handler) override {
-    detail::installAndReplay(slotMutex_, slot_, nullptr, std::move(handler));
+    detail::installAndReplay(slotMutex_, slot_, std::move(handler));
   }
 
   void setCloseHandler(std::function<void()> handler) override {
@@ -239,9 +263,6 @@ class ShmTransport final : public Transport {
   }
 
  private:
-  static Message owned(const Message& m) { return m; }
-  static Message owned(const MessageRef& m) { return materialize(m); }
-
   void bindRings() {
     ShmSegmentHdr* h = segment_->hdr();
     const auto ringBytes = static_cast<std::size_t>(h->ringBytes);
@@ -287,36 +308,11 @@ class ShmTransport final : public Transport {
     if (recvRing_) recvRing_->wakeAll();
   }
 
-  template <typename M>
-  Status sendImpl(const M& m) {
-    std::unique_lock lock(mutex_);
-    switch (state_) {
-      case State::kPassthrough:
-        if (m.type == MsgType::kHello && shmNegotiationEnabled()) {
-          return startNegotiation(owned(m), lock);
-        }
-        lock.unlock();
-        return socket_->send(m);
-      case State::kNegotiating:
-        // FIFO across the upgrade: nothing may travel on either channel
-        // until the daemon's answer picks the one channel this session
-        // will ever use. The handshake is one RTT; the buffer stays tiny.
-        pending_.push_back(owned(m));
-        return Status::ok();
-      case State::kSocket:
-        lock.unlock();
-        return socket_->send(m);
-      case State::kShm:
-        lock.unlock();
-        return shmSend(m);
-    }
-    return errInternal("shm: unreachable");
-  }
-
   /// First kHello through the wrapper: create the segment, rewrite the
   /// hello into an offer, enter the buffering state. Any failure keeps
   /// the plain socket path.
-  Status startNegotiation(Message hello, std::unique_lock<std::mutex>& lock) {
+  Status startNegotiation(const MessageRef& hello,
+                          std::unique_lock<std::mutex>& lock) {
     segment_ = createSegment();
     if (!segment_) {
       state_ = State::kSocket;  // no second offer; stay a passthrough
@@ -324,34 +320,37 @@ class ShmTransport final : public Transport {
       return socket_->send(hello);
     }
     bindRings();
-    hello.intArg2 |= kHelloCapShm;
-    hello.text = segment_->key;
+    MessageRef offer = hello;
+    offer.intArg2 |= kHelloCapShm;
+    offer.text = segment_->key;
     state_ = State::kNegotiating;
     // The consumer must already be listening: the accept signal IS the
     // kHelloAck arriving over the completion ring.
     startConsumer();
     lock.unlock();
-    return socket_->send(hello);
+    return socket_->send(offer);
   }
 
-  /// Daemon answered on the socket (old daemon, redirect, decline): the
-  /// session stays on the socket. Tear the rings down and flush the
-  /// buffered sends in order BEFORE the answer reaches the session, so
-  /// its handler observes the same ordering a plain socket would give.
-  void settleSocket(std::unique_lock<std::mutex>& lock) {
-    state_ = State::kSocket;
-    std::vector<Message> pend;
-    pend.swap(pending_);
-    lock.unlock();
-    stopConsumer();
-    // The declined segment stays MAPPED until the destructor: close() and
-    // onPeerGone() on other threads may still dereference it, and an early
-    // munmap here is a use-after-unmap in their hands. The name itself is
-    // unlinked by ~ShmSegment (the daemon never attached), so the only
-    // cost is one idle mapping for the session's remaining lifetime.
-    for (auto& p : pend) {
-      if (!socket_->send(p).isOk()) break;
+  /// The daemon answered (state_ is kSettling): flushes the buffered
+  /// sends to the channel `to` in order, then switches to it. The switch
+  /// happens only once a pass under the lock finds pending_ empty, so a
+  /// send racing the flush appends behind it instead of overtaking it on
+  /// the settled channel. Called with `lock` held; returns with it held.
+  void settle(State to, std::unique_lock<std::mutex>& lock) {
+    Arena arena(4096);
+    while (!pending_.empty()) {
+      std::vector<WireBuffer> batch;
+      batch.swap(pending_);
+      lock.unlock();
+      for (auto& frame : batch) {
+        const MessageRef m = copyToArena(detail::viewOf(frame), arena);
+        (void)(to == State::kShm ? shmSend(m) : socket_->send(m));
+        arena.reset();
+        detail::releaseScratch(std::move(frame));
+      }
+      lock.lock();
     }
+    state_ = to;
   }
 
   void onSocketMessage(const MessageView& v) {
@@ -360,7 +359,21 @@ class ShmTransport final : public Transport {
       if (state_ == State::kNegotiating &&
           (v.type() == MsgType::kHelloAck || v.type() == MsgType::kRedirect ||
            v.type() == MsgType::kError)) {
-        settleSocket(lock);  // unlocks
+        // Daemon answered on the socket (old daemon, redirect, decline):
+        // the session stays on the socket. Tear the rings down and flush
+        // the buffered sends BEFORE the answer reaches the session, so its
+        // handler observes the same ordering a plain socket would give.
+        state_ = State::kSettling;
+        lock.unlock();
+        stopConsumer();
+        // The declined segment stays MAPPED until the destructor: close()
+        // and onPeerGone() on other threads may still dereference it, and
+        // an early munmap here is a use-after-unmap in their hands. The
+        // name itself is unlinked by ~ShmSegment (the daemon never
+        // attached), so the only cost is one idle mapping for the
+        // session's remaining lifetime.
+        lock.lock();
+        settle(State::kSocket, lock);
       }
     }
     detail::deliverView(slotMutex_, slot_, v);
@@ -384,8 +397,6 @@ class ShmTransport final : public Transport {
         return;
       }
     }
-    bool flush = false;
-    std::vector<Message> pend;
     {
       std::unique_lock lock(mutex_);
       if (state_ == State::kNegotiating && view->type() == MsgType::kHelloAck) {
@@ -393,14 +404,8 @@ class ShmTransport final : public Transport {
         // is the session's one channel. Flush the buffered sends before
         // the ack reaches the session — its handler may immediately issue
         // follow-ups that must not overtake them.
-        state_ = State::kShm;
-        pend.swap(pending_);
-        flush = true;
-      }
-    }
-    if (flush) {
-      for (auto& p : pend) {
-        if (!shmSend(p).isOk()) break;
+        state_ = State::kSettling;
+        settle(State::kShm, lock);
       }
     }
     detail::deliverView(slotMutex_, slot_, *view);
@@ -429,8 +434,7 @@ class ShmTransport final : public Transport {
     }
   }
 
-  template <typename M>
-  Status shmSend(const M& m) {
+  Status shmSend(const MessageRef& m) {
     if (fault::active() && fault::shouldFail(fault::Point::kSend)) {
       // Same observable behaviour as the socket path's injected fault:
       // abrupt connection loss, close callback and all.
@@ -520,7 +524,7 @@ class ShmTransport final : public Transport {
 
   mutable std::mutex mutex_;  ///< guards state_ and pending_
   State state_ = State::kPassthrough;
-  std::vector<Message> pending_;  ///< sends buffered during negotiation
+  std::vector<WireBuffer> pending_;  ///< frames sent during negotiation
 
   std::mutex sendMutex_;  ///< serializes ring producers (send is MT-safe)
   std::optional<ShmRing> sendRing_;

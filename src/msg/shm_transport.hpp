@@ -18,11 +18,13 @@
 //     |    <- kHelloAck/kRedirect/kError   |  decline / old daemon: answer on
 //     |        (socket)                    |   the socket as always
 //
-// The client wrapper buffers every send between the hello and the ack, so
-// after the handshake settles exactly ONE channel has ever carried
-// traffic — per-session FIFO ordering survives the upgrade. An old daemon
-// simply ignores the offer fields and answers on the socket; an old
-// client never sets the capability bit and the daemon never upgrades.
+// The client wrapper buffers every send between the hello and the ack as
+// an encoded frame, and flushes the buffer onto the chosen channel before
+// any later send may use it, so after the handshake settles exactly ONE
+// channel has ever carried traffic — per-session FIFO ordering survives
+// the upgrade, also for sends racing the flush from other threads. An old
+// daemon simply ignores the offer fields and answers on the socket; an
+// old client never sets the capability bit and the daemon never upgrades.
 //
 // Knobs: SIMFS_SHM=0 disables the offer (client) and acceptance (daemon);
 // SIMFS_SHM_RING_SLOTS sizes each direction's ring (default 1024 slots of

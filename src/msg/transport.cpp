@@ -40,11 +40,25 @@ constexpr std::size_t kMaxOutboxBytes = 128u << 20;
 /// peer before the remainder is dropped and the socket shut down hard.
 constexpr auto kCloseGrace = std::chrono::seconds(5);
 
+/// Receive buffer of a connection, allocated once: frames are scanned out
+/// after every read, so it only ever holds one read plus a partial frame
+/// and grows only for a single frame larger than itself.
+constexpr std::size_t kReadBufBytes = 64 * 1024;
+
+/// Frames the outbox (and the loop's in-flight batch it is swapped with)
+/// hold before their vectors grow: room for a pipelining client's window
+/// of a few hundred requests, so a steady flood never reallocates them.
+constexpr std::size_t kOutboxFrames = 512;
+
+/// Commands a loop's queue (and the batch it is swapped with) hold before
+/// growing: a flush is posted at most once per connection per drain, so
+/// this covers a loop serving dozens of busy connections.
+constexpr std::size_t kLoopCommands = 64;
+
 // The handler-slot machinery (scratch buffers, HandlerSlot,
-// installAndReplay, deliverAsView) lives in msg/handler_slot.hpp so the
-// shm transport shares it; local aliases keep the call sites unchanged.
+// installAndReplay, deliverView) lives in msg/handler_slot.hpp so the shm
+// transport shares it.
 using detail::acquireScratch;
-using detail::deliverAsView;
 using detail::HandlerSlot;
 using detail::installAndReplay;
 using detail::releaseScratch;
@@ -73,23 +87,45 @@ class InProcEndpoint final : public Transport {
     // wait out deliveries already inside it, so the objects the handler
     // captures may be destroyed the moment this destructor returns.
     std::unique_lock lock(shared_->mutex[side_]);
-    shared_->slot[side_].onMessage.reset();
-    shared_->slot[side_].onView.reset();
+    shared_->slot[side_].handler.reset();
     shared_->closeHandler[side_] = nullptr;
     shared_->idleCv[side_].wait(lock,
                                 [&] { return shared_->inFlight[side_] == 0; });
   }
 
-  Status send(const Message& m) override { return deliver(m); }
-  Status send(const MessageRef& m) override { return deliver(m); }
-
-  void setHandler(Handler handler) override {
-    installAndReplay(shared_->mutex[side_], shared_->slot[side_],
-                     std::move(handler), nullptr);
+  /// Synchronous delivery on the sender's thread: `m` is encoded into a
+  /// scratch frame and the peer's handler reads the view over it. Before
+  /// the peer installs a handler the frame itself joins its backlog. The
+  /// in-flight count lets the peer's destructor wait for this call to
+  /// leave its handler.
+  Status send(const MessageRef& m) override {
+    if (!shared_->open.load()) return errUnavailable("inproc: closed");
+    const int peer = 1 - side_;
+    WireBuffer frame = acquireScratch();
+    encodeInto(m, frame);
+    std::shared_ptr<ViewHandler> h;
+    {
+      std::lock_guard lock(shared_->mutex[peer]);
+      auto& slot = shared_->slot[peer];
+      if (slot.mustQueue()) {
+        slot.backlog.push_back(std::move(frame));
+        return Status::ok();
+      }
+      h = slot.handler;
+      ++shared_->inFlight[peer];
+    }
+    (*h)(detail::viewOf(frame));
+    releaseScratch(std::move(frame));
+    {
+      std::lock_guard lock(shared_->mutex[peer]);
+      --shared_->inFlight[peer];
+    }
+    shared_->idleCv[peer].notify_all();
+    return Status::ok();
   }
 
   void setViewHandler(ViewHandler handler) override {
-    installAndReplay(shared_->mutex[side_], shared_->slot[side_], nullptr,
+    installAndReplay(shared_->mutex[side_], shared_->slot[side_],
                      std::move(handler));
   }
 
@@ -104,7 +140,7 @@ class InProcEndpoint final : public Transport {
       }
     }
     // The peer closed before this handler existed: deliver the buffered
-    // close event now (same replay contract as setHandler).
+    // close event now (same replay contract as setViewHandler).
     if (fire) fire();
   }
 
@@ -141,45 +177,6 @@ class InProcEndpoint final : public Transport {
   std::string_view kindName() const override { return "inproc"; }
 
  private:
-  static Message owned(const Message& m) { return m; }
-  static Message owned(const MessageRef& m) { return materialize(m); }
-
-  /// Synchronous delivery on the sender's thread; pre-handler messages
-  /// are buffered and replayed by the peer's setHandler. The in-flight
-  /// count lets the peer's destructor wait for this call to leave its
-  /// handler. A view-handling peer receives the message in place over a
-  /// scratch encode — no owned Message is ever built for it.
-  template <typename M>
-  Status deliver(const M& m) {
-    if (!shared_->open.load()) return errUnavailable("inproc: closed");
-    const int peer = 1 - side_;
-    std::shared_ptr<Handler> h;
-    std::shared_ptr<ViewHandler> vh;
-    {
-      std::lock_guard lock(shared_->mutex[peer]);
-      auto& slot = shared_->slot[peer];
-      if (!slot.any() || slot.draining) {
-        slot.backlog.push_back(owned(m));
-        return Status::ok();
-      }
-      vh = slot.onView;
-      h = slot.onMessage;
-      ++shared_->inFlight[peer];
-    }
-    if (vh) {
-      deliverAsView(*vh, m);
-    } else {
-      Message copy = owned(m);
-      (*h)(std::move(copy));
-    }
-    {
-      std::lock_guard lock(shared_->mutex[peer]);
-      --shared_->inFlight[peer];
-    }
-    shared_->idleCv[peer].notify_all();
-    return Status::ok();
-  }
-
   std::shared_ptr<InProcShared> shared_;
   int side_;
 };
@@ -215,7 +212,8 @@ struct Conn {
   std::vector<WireBuffer> inflight;
   std::size_t inflightPos = 0;   ///< first unwritten buffer
   std::size_t inflightHead = 0;  ///< bytes of inflight[inflightPos] sent
-  std::string readBuf;
+  std::vector<char> readBuf = std::vector<char>(kReadBufBytes);
+  std::size_t readLen = 0;  ///< received bytes not yet scanned into frames
   bool wantWrite = false;          ///< EPOLLOUT currently in the interest set
   bool registered = false;
   /// Deadline for draining a close()d connection's tail (zero = unset).
@@ -244,6 +242,7 @@ class Reactor {
       auto loop = std::make_unique<Loop>();
       loop->epollFd = ::epoll_create1(EPOLL_CLOEXEC);
       loop->wakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+      loop->commands.reserve(kLoopCommands);
       SIMFS_CHECK(loop->epollFd >= 0 && loop->wakeFd >= 0);
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -306,6 +305,8 @@ class Reactor {
     (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
+    conn->outbox.reserve(kOutboxFrames);
+    conn->inflight.reserve(kOutboxFrames);
     conn->loop = nextLoop_.fetch_add(1) % loops_.size();
     post({Cmd::Kind::kRegister, conn});
     return conn;
@@ -443,6 +444,7 @@ class Reactor {
     loop.threadId = std::this_thread::get_id();
     std::vector<epoll_event> events(64);
     std::vector<Cmd> cmds;
+    cmds.reserve(kLoopCommands);
     for (;;) {
       cmds.clear();
       {
@@ -487,30 +489,6 @@ class Reactor {
     }
   }
 
-  /// Hands one decoded frame to the connection's handler: the view stays
-  /// in place over the receive buffer for a view handler; a legacy
-  /// handler (or the pre-handler backlog) gets an owned materialization.
-  static void deliverFrame(const std::shared_ptr<Conn>& conn,
-                           const MessageView& view) {
-    std::shared_ptr<Transport::Handler> h;
-    std::shared_ptr<Transport::ViewHandler> vh;
-    {
-      std::lock_guard lock(conn->mutex);
-      auto& slot = conn->slot;
-      if (!slot.any() || slot.draining) {
-        slot.backlog.push_back(view.toMessage());
-        return;
-      }
-      vh = slot.onView;
-      h = slot.onMessage;
-    }
-    if (vh) {
-      (*vh)(view);
-    } else {
-      (*h)(view.toMessage());
-    }
-  }
-
   /// Decodes every complete frame in `bytes` and delivers each IN PLACE
   /// (the views reference `bytes` and die with the handler call). Returns
   /// the consumed prefix length; sets `dead` on an oversized/undecodable
@@ -545,21 +523,29 @@ class Reactor {
           break;
         }
       }
-      deliverFrame(conn, *view);
+      detail::deliverView(conn->mutex, conn->slot, *view);
     }
     return head;
   }
 
   void handleReadable(Loop& loop, const std::shared_ptr<Conn>& conn) {
-    char buf[64 * 1024];
+    std::vector<char>& buf = conn->readBuf;
     bool dead = false;
     // Read until EAGAIN (bounded per pass; level-triggered epoll re-fires
-    // if the peer outruns us).
-    for (int pass = 0; pass < 8; ++pass) {
-      const ssize_t r = ::read(conn->fd, buf, sizeof(buf));
+    // if the peer outruns us), delivering the complete frames of every
+    // read before the next one.
+    for (int pass = 0; pass < 8 && !dead; ++pass) {
+      // A partial frame filling the whole buffer: make room for the rest.
+      if (conn->readLen == buf.size()) buf.resize(2 * buf.size());
+      const std::size_t room = buf.size() - conn->readLen;
+      const ssize_t r = ::read(conn->fd, buf.data() + conn->readLen, room);
       if (r > 0) {
-        conn->readBuf.append(buf, static_cast<std::size_t>(r));
-        if (static_cast<std::size_t>(r) < sizeof(buf)) break;
+        conn->readLen += static_cast<std::size_t>(r);
+        const std::size_t head =
+            scanFrames(conn, {buf.data(), conn->readLen}, dead);
+        conn->readLen -= head;
+        std::memmove(buf.data(), buf.data() + head, conn->readLen);
+        if (static_cast<std::size_t>(r) < room) break;
         continue;
       }
       if (r == 0) {
@@ -570,11 +556,6 @@ class Reactor {
       if (errno == EINTR) continue;
       dead = true;
       break;
-    }
-    const std::size_t head = scanFrames(conn, conn->readBuf, dead);
-    if (head > 0) {
-      // compact once per event, not once per frame
-      conn->readBuf.erase(0, head);
     }
     if (dead) disconnect(loop, conn);
   }
@@ -781,8 +762,7 @@ class Reactor {
     loop.closingConns.erase(conn);
     std::lock_guard lock(conn->mutex);
     conn->open.store(false);
-    conn->slot.onMessage.reset();
-    conn->slot.onView.reset();
+    conn->slot.handler.reset();
     conn->closeHandler = nullptr;
     conn->removed = true;
     conn->removedCv.notify_all();
@@ -802,61 +782,11 @@ class ReactorTransport final : public Transport {
     reactor_.remove(conn_);
   }
 
-  Status send(const Message& m) override { return sendEncoded(m); }
-  Status send(const MessageRef& m) override { return sendEncoded(m); }
-
-  void setHandler(Handler handler) override {
-    installAndReplay(conn_->mutex, conn_->slot, std::move(handler), nullptr);
-  }
-
-  void setViewHandler(ViewHandler handler) override {
-    installAndReplay(conn_->mutex, conn_->slot, nullptr, std::move(handler));
-  }
-
-  void setCloseHandler(std::function<void()> handler) override {
-    std::function<void()> fire;
-    {
-      std::lock_guard lock(conn_->mutex);
-      conn_->closeHandler = std::move(handler);
-      if (conn_->closePending && !conn_->closeNotified) {
-        conn_->closeNotified = true;
-        conn_->closePending = false;
-        fire = conn_->closeHandler;
-      }
-    }
-    // The peer vanished before the handler existed (the reactor starts
-    // reading at adopt(), not at setHandler()): replay the close event.
-    if (fire) fire();
-  }
-
-  void close() override {
-    bool schedule = false;
-    {
-      std::lock_guard lock(conn_->mutex);
-      if (conn_->closing) return;
-      conn_->closing = true;
-      conn_->open.store(false);
-      if (!conn_->writeArmed) {
-        conn_->writeArmed = true;
-        schedule = true;
-      }
-    }
-    // The flush drains anything already queued, then shuts the socket
-    // down so the peer observes EOF.
-    if (schedule) reactor_.scheduleFlush(conn_);
-  }
-
-  bool isOpen() const override { return conn_->open.load(); }
-
-  std::string_view kindName() const override { return "socket"; }
-
- private:
   /// The one send path: serialize into a pooled buffer (frame header
   /// reserved up front, back-patched — no re-copy), queue it, wake the
   /// loop. Steady-state cost is a pool pop, the serialization itself and
   /// a vector push into reused capacity.
-  template <typename M>
-  Status sendEncoded(const M& m) {
+  Status send(const MessageRef& m) override {
     // Cheap sticky-state pre-check before paying for serialization; the
     // locked check below remains authoritative.
     if (!conn_->open.load()) return errUnavailable("socket: closed");
@@ -903,21 +833,61 @@ class ReactorTransport final : public Transport {
     return Status::ok();
   }
 
+  void setViewHandler(ViewHandler handler) override {
+    installAndReplay(conn_->mutex, conn_->slot, std::move(handler));
+  }
+
+  void setCloseHandler(std::function<void()> handler) override {
+    std::function<void()> fire;
+    {
+      std::lock_guard lock(conn_->mutex);
+      conn_->closeHandler = std::move(handler);
+      if (conn_->closePending && !conn_->closeNotified) {
+        conn_->closeNotified = true;
+        conn_->closePending = false;
+        fire = conn_->closeHandler;
+      }
+    }
+    // The peer vanished before the handler existed (the reactor starts
+    // reading at adopt(), not at setViewHandler()): replay the close event.
+    if (fire) fire();
+  }
+
+  void close() override {
+    bool schedule = false;
+    {
+      std::lock_guard lock(conn_->mutex);
+      if (conn_->closing) return;
+      conn_->closing = true;
+      conn_->open.store(false);
+      if (!conn_->writeArmed) {
+        conn_->writeArmed = true;
+        schedule = true;
+      }
+    }
+    // The flush drains anything already queued, then shuts the socket
+    // down so the peer observes EOF.
+    if (schedule) reactor_.scheduleFlush(conn_);
+  }
+
+  bool isOpen() const override { return conn_->open.load(); }
+
+  std::string_view kindName() const override { return "socket"; }
+
+ private:
   Reactor& reactor_;
   std::shared_ptr<Conn> conn_;
 };
 
 }  // namespace
 
-// The default adapts legacy-only transports (wrappers forwarding just
-// setHandler) to the view contract: each owned Message is re-encoded into
-// a per-thread scratch buffer and delivered in place.
-void Transport::setViewHandler(ViewHandler handler) {
+void Transport::setHandler(Handler handler) {
   if (!handler) {
-    setHandler(nullptr);
+    setViewHandler(nullptr);
     return;
   }
-  setHandler([h = std::move(handler)](Message&& m) { deliverAsView(h, m); });
+  setViewHandler(
+      [h = std::move(handler)](const MessageView& v) { h(v.toMessage()); });
 }
 
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>

@@ -1,9 +1,9 @@
 // Message transports between DVLib clients and the DV daemon.
 //
-// Two implementations behind one interface:
-//   * InProc pair — zero-copy, synchronous delivery on the sender's
-//     thread; used by tests and by single-process deployments where the
-//     DV runs as a thread of the analysis driver.
+// Three implementations behind one interface:
+//   * InProc pair — synchronous delivery on the sender's thread; used by
+//     tests and by single-process deployments where the DV runs as a
+//     thread of the analysis driver.
 //   * Unix-domain stream sockets — the daemon deployment (the paper uses
 //     TCP/IP; a UNIX socket carries the identical framed protocol and
 //     keeps the examples self-contained). All socket endpoints of the
@@ -12,13 +12,23 @@
 //     connection, and outbound messages are batched into writev() calls
 //     instead of one write per frame — connection count no longer implies
 //     thread count.
+//   * Same-host shared memory — a socket session that upgrades to a ring
+//     pair during the kHello handshake (see shm_transport.hpp).
+//
+// One message path: every transport takes a MessageRef in (send) and
+// hands a MessageView out (setViewHandler); nothing inside a transport
+// builds an owned Message. Owned messages exist only at the edges, in
+// two non-virtual helpers: send(const Message&) borrows the message as a
+// MessageRef, and setHandler wraps an owned-message handler as a view
+// handler that calls toMessage().
 //
 // Delivery contract: the receive handler may be invoked from an arbitrary
-// thread (the sender's for InProc, an event-loop thread for sockets) and
-// must not synchronously send on the same transport it is handling, except
-// to reply — replies are safe because handlers never hold transport locks.
-// Messages that arrive before a handler is installed are buffered and
-// replayed, in order, on the thread that calls setHandler().
+// thread (the sender's for InProc, an event-loop or ring-consumer thread
+// otherwise) and must not synchronously send on the same transport it is
+// handling, except to reply — replies are safe because handlers never
+// hold transport locks. Messages that arrive before a handler is
+// installed are kept as encoded frames and replayed, in order, on the
+// thread that installs it.
 #pragma once
 
 #include "common/status.hpp"
@@ -34,6 +44,7 @@ namespace simfs::msg {
 /// Bidirectional message endpoint.
 class Transport {
  public:
+  /// Edge receive handler taking an owned message (see setHandler).
   using Handler = std::function<void(Message&&)>;
   /// Zero-copy receive handler: the view (and every string_view /
   /// iterator it hands out) references transport-owned buffer memory and
@@ -43,36 +54,27 @@ class Transport {
 
   virtual ~Transport() = default;
 
-  /// Sends a message to the peer. Returns kUnavailable once closed.
-  /// Socket sends are asynchronous: the message is queued and flushed by
-  /// the reactor (batched with neighbours into one writev). A peer that
-  /// stops draining its socket is disconnected once its queue exceeds a
-  /// fixed byte bound (send then also returns kUnavailable) — senders
-  /// are never blocked on a slow consumer.
-  [[nodiscard]] virtual Status send(const Message& m) = 0;
+  /// Sends a message to the peer; the referenced storage only needs to
+  /// outlive this call (the transport serializes `m` into its own pooled
+  /// buffer or ring slot before returning). Returns kUnavailable once
+  /// closed. Socket sends are asynchronous: the frame is queued and
+  /// flushed by the reactor (batched with neighbours into one writev). A
+  /// peer that stops draining its socket is disconnected once its queue
+  /// exceeds a fixed byte bound (send then also returns kUnavailable) —
+  /// senders are never blocked on a slow consumer.
+  [[nodiscard]] virtual Status send(const MessageRef& m) = 0;
 
-  /// Zero-copy send: the built-in transports serialize `m` straight into
-  /// a pooled, framed send buffer (no Message, no intermediate string).
-  /// The referenced storage only needs to outlive this call. The default
-  /// materializes an owned Message and forwards to send(Message) so
-  /// wrapper transports that only override the legacy entry point keep
-  /// observing (and counting) every message.
-  [[nodiscard]] virtual Status send(const MessageRef& m) {
-    return send(materialize(m));
-  }
+  /// Edge helper for owned messages: sends a MessageRef over `m`.
+  [[nodiscard]] Status send(const Message& m) { return send(RefOf(m).ref()); }
 
-  /// Installs the receive handler. Messages that arrived before the
-  /// handler was installed are replayed to it, in arrival order, before
-  /// this call returns.
-  virtual void setHandler(Handler handler) = 0;
+  /// Installs the receive handler (nullptr uninstalls). Messages that
+  /// arrived before the handler was installed are replayed to it, in
+  /// arrival order, before this call returns.
+  virtual void setViewHandler(ViewHandler handler) = 0;
 
-  /// Installs a zero-copy receive handler (mutually exclusive with
-  /// setHandler — the most recent installation of either wins). The
-  /// built-in transports feed it views straight over their receive
-  /// buffers; the default adapts through setHandler by re-encoding into
-  /// a scratch buffer, so wrappers forwarding only the legacy hook still
-  /// deliver views to their consumers.
-  virtual void setViewHandler(ViewHandler handler);
+  /// Edge helper for consumers that keep what they receive: installs a
+  /// view handler that materializes each message with toMessage().
+  void setHandler(Handler handler);
 
   /// Installs a disconnect callback, invoked once when the peer goes away
   /// (socket EOF / peer close). Optional.

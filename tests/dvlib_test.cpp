@@ -42,15 +42,15 @@ class CountingTransport final : public msg::Transport {
                     std::shared_ptr<Counters> counters)
       : inner_(std::move(inner)), counters_(std::move(counters)) {}
 
-  Status send(const msg::Message& m) override {
+  Status send(const msg::MessageRef& m) override {
     {
       std::lock_guard lock(counters_->mu);
       ++counters_->sent[m.type];
     }
     return inner_->send(m);
   }
-  void setHandler(Handler handler) override {
-    inner_->setHandler(std::move(handler));
+  void setViewHandler(ViewHandler handler) override {
+    inner_->setViewHandler(std::move(handler));
   }
   void setCloseHandler(std::function<void()> handler) override {
     inner_->setCloseHandler(std::move(handler));
@@ -689,12 +689,13 @@ TEST_F(LiveStackTest, PassthroughReadsExistingFiles) {
 
 /// A transport that sheds the first `shedCount` open batches exactly like
 /// an overloaded shard (whole-batch kUnavailable, no outcome pairs), then
-/// acks every file as immediately available. Hellos succeed inline.
+/// acks every file as immediately available. Hellos succeed inline; each
+/// reply reaches the handler as a view over its own encoded frame.
 class SheddingTransport final : public msg::Transport {
  public:
   explicit SheddingTransport(int shedCount) : shedLeft_(shedCount) {}
 
-  Status send(const msg::Message& m) override {
+  Status send(const msg::MessageRef& m) override {
     msg::Message reply;
     reply.requestId = m.requestId;
     switch (m.type) {
@@ -722,15 +723,19 @@ class SheddingTransport final : public msg::Transport {
       default:
         return Status::ok();  // fire-and-forget traffic needs no reply
     }
-    Handler h;
+    ViewHandler h;
     {
       std::lock_guard lock(mu_);
       h = handler_;
     }
-    if (h) h(std::move(reply));
+    if (h) {
+      msg::WireBuffer frame;
+      msg::encodeInto(msg::RefOf(reply).ref(), frame);
+      h(*msg::MessageView::parse(frame.payload()));
+    }
     return Status::ok();
   }
-  void setHandler(Handler handler) override {
+  void setViewHandler(ViewHandler handler) override {
     std::lock_guard lock(mu_);
     handler_ = std::move(handler);
   }
@@ -745,7 +750,7 @@ class SheddingTransport final : public msg::Transport {
 
  private:
   std::mutex mu_;
-  Handler handler_;
+  ViewHandler handler_;
   std::vector<std::uint64_t> batchIds_;
   int shedLeft_;
   std::atomic<bool> open_{true};

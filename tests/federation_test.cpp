@@ -611,11 +611,13 @@ TEST(FederationTest, BatchedOpenFollowsRedirect) {
     CountingTransport(std::unique_ptr<msg::Transport> inner,
                       std::atomic<int>& batches)
         : inner_(std::move(inner)), batches_(batches) {}
-    Status send(const msg::Message& m) override {
+    Status send(const msg::MessageRef& m) override {
       if (m.type == msg::MsgType::kOpenBatchReq) ++batches_;
       return inner_->send(m);
     }
-    void setHandler(Handler h) override { inner_->setHandler(std::move(h)); }
+    void setViewHandler(ViewHandler h) override {
+      inner_->setViewHandler(std::move(h));
+    }
     void setCloseHandler(std::function<void()> h) override {
       inner_->setCloseHandler(std::move(h));
     }

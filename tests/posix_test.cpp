@@ -239,15 +239,15 @@ class CountingTransport final : public msg::Transport {
                     std::shared_ptr<Counters> counters)
       : inner_(std::move(inner)), counters_(std::move(counters)) {}
 
-  Status send(const msg::Message& m) override {
+  Status send(const msg::MessageRef& m) override {
     {
       std::lock_guard lock(counters_->mu);
       ++counters_->sent[m.type];
     }
     return inner_->send(m);
   }
-  void setHandler(Handler handler) override {
-    inner_->setHandler(std::move(handler));
+  void setViewHandler(ViewHandler handler) override {
+    inner_->setViewHandler(std::move(handler));
   }
   void setCloseHandler(std::function<void()> handler) override {
     inner_->setCloseHandler(std::move(handler));

@@ -263,65 +263,76 @@ struct ServerSession {
   std::unique_ptr<Transport> transport;
 };
 
-TEST_F(ShmNegotiationTest, UpgradesToShmAndEchoesOverRing) {
-  UnixSocketServer server(path_);
+/// An echo server that mirrors the daemon's hello dispatch: it adopts
+/// the offered segment on the delivery thread, acks THROUGH the swapped
+/// transport (over the ring — that IS the accept signal), then echoes
+/// everything else back as kOpenBatchAck.
+struct EchoShmServer {
+  explicit EchoShmServer(const std::string& path) : server(path) {}
+
+  [[nodiscard]] bool start() {
+    return server
+        .start([this](std::unique_ptr<Transport> conn) {
+          auto session = std::make_shared<ServerSession>();
+          session->transport = std::move(conn);
+          session->transport->setHandler(
+              [this, session](Message&& m) { onSocket(session, m); });
+          std::lock_guard lock(mu);
+          sessions.push_back(std::move(session));
+        })
+        .isOk();
+  }
+
+  void onSocket(const std::shared_ptr<ServerSession>& session, Message& m) {
+    if (m.type != MsgType::kHello) {
+      m.type = MsgType::kOpenBatchAck;
+      (void)session->transport->send(m);
+      return;
+    }
+    if ((m.intArg2 & kHelloCapShm) != 0 && !m.text.empty()) {
+      auto shm = shmAdoptServer(m.text, session->transport);
+      if (shm) {
+        // Swap under `mu`: the test body reads this transport through
+        // `sessions` after the replies settle, and the in-process
+        // client/server segment mappings live at different addresses, so
+        // ring-mediated ordering is not something a sanitizer can see —
+        // use the lock.
+        std::lock_guard swapLock(mu);
+        session->transport = std::move(shm);
+        // Weak capture, like the daemon's installSessionHandlers: the
+        // handler lives inside session->transport, so an owning capture
+        // would be a shared_ptr cycle.
+        std::weak_ptr<ServerSession> weak = session;
+        session->transport->setHandler([weak](Message&& e) {
+          if (auto s = weak.lock()) {
+            e.type = MsgType::kOpenBatchAck;
+            (void)s->transport->send(e);
+          }
+        });
+      }
+    }
+    Message ack;
+    ack.type = MsgType::kHelloAck;
+    ack.requestId = m.requestId;
+    ack.intArg = 42;
+    if ((m.intArg2 & kHelloCapShm) != 0) {
+      ack.intArg2 = static_cast<std::int64_t>(
+          session->transport->kindName() == "shm" ? TransportChoice::kShm
+                                                  : TransportChoice::kSocket);
+    }
+    (void)session->transport->send(ack);
+  }
+
+  UnixSocketServer server;
   std::mutex mu;
   std::vector<std::shared_ptr<ServerSession>> sessions;
+};
 
-  ASSERT_TRUE(
-      server
-          .start([&](std::unique_ptr<Transport> conn) {
-            auto session = std::make_shared<ServerSession>();
-            session->transport = std::move(conn);
-            auto* raw = session->transport.get();
-            // Mirror the daemon's hello dispatch: adopt the offered
-            // segment on the delivery thread, ack THROUGH the swapped
-            // transport (over the ring — that IS the accept signal),
-            // then echo everything else.
-            raw->setHandler([&, session](Message&& m) {
-              if (m.type == MsgType::kHello) {
-                if ((m.intArg2 & kHelloCapShm) != 0 && !m.text.empty()) {
-                  auto shm = shmAdoptServer(m.text, session->transport);
-                  if (shm) {
-                    // Swap under `mu`: the test body reads this transport
-                    // through `sessions` after the replies settle, and the
-                    // in-process client/server segment mappings live at
-                    // different addresses, so ring-mediated ordering is
-                    // not something a sanitizer can see — use the lock.
-                    std::lock_guard swapLock(mu);
-                    session->transport = std::move(shm);
-                    // Weak capture, like the daemon's installSessionHandlers:
-                    // the handler lives inside session->transport, so an
-                    // owning capture would be a shared_ptr cycle.
-                    std::weak_ptr<ServerSession> weak = session;
-                    session->transport->setHandler([weak](Message&& e) {
-                      if (auto s = weak.lock()) {
-                        e.type = MsgType::kOpenBatchAck;
-                        (void)s->transport->send(e);
-                      }
-                    });
-                  }
-                }
-                Message ack;
-                ack.type = MsgType::kHelloAck;
-                ack.requestId = m.requestId;
-                ack.intArg = 42;
-                if ((m.intArg2 & kHelloCapShm) != 0) {
-                  ack.intArg2 = static_cast<std::int64_t>(
-                      session->transport->kindName() == "shm"
-                          ? TransportChoice::kShm
-                          : TransportChoice::kSocket);
-                }
-                (void)session->transport->send(ack);
-                return;
-              }
-              m.type = MsgType::kOpenBatchAck;
-              (void)session->transport->send(m);
-            });
-            std::lock_guard lock(mu);
-            sessions.push_back(std::move(session));
-          })
-          .isOk());
+TEST_F(ShmNegotiationTest, UpgradesToShmAndEchoesOverRing) {
+  EchoShmServer echo(path_);
+  ASSERT_TRUE(echo.start());
+  auto& mu = echo.mu;
+  auto& sessions = echo.sessions;
 
   auto client = unixSocketConnect(path_);
   ASSERT_TRUE(client.isOk());
@@ -384,7 +395,69 @@ TEST_F(ShmNegotiationTest, UpgradesToShmAndEchoesOverRing) {
   EXPECT_EQ(replies.back().text, big.text);
 
   (*client)->close();
-  server.stop();
+  echo.server.stop();
+}
+
+TEST_F(ShmNegotiationTest, SendsRacingTheAcceptStayInOrder) {
+  // The accept path flushes the sends buffered behind the hello while
+  // another thread keeps sending. No send may overtake the flush on the
+  // ring: every echo must come back in the order it was sent.
+  std::mutex rmu;
+  std::condition_variable rcv;
+  std::vector<std::uint64_t> ids;
+  std::atomic<bool> acked{false};
+  EchoShmServer echo(path_);
+  ASSERT_TRUE(echo.start());
+  auto client = unixSocketConnect(path_);
+  ASSERT_TRUE(client.isOk());
+  (*client)->setViewHandler([&](const MessageView& v) {
+    if (v.type() == MsgType::kHelloAck) acked.store(true);
+    std::lock_guard lock(rmu);
+    ids.push_back(v.requestId());
+    rcv.notify_all();
+  });
+
+  // One ring slot per frame: even kCap frames buffered behind the hello
+  // fit the two rings, so the flush never stalls on a full ring.
+  auto request = [](std::uint64_t id) {
+    Message m;
+    m.type = MsgType::kOpenBatchReq;
+    m.requestId = id;
+    m.text = std::string(id % 64, 'q');
+    return m;
+  };
+  constexpr std::uint64_t kFirst = 100;
+  constexpr std::uint64_t kPipelined = 200;
+  constexpr std::uint64_t kCap = 1500;
+  ASSERT_TRUE((*client)->send(helloMessage()).isOk());
+  for (std::uint64_t id = kFirst; id < kFirst + kPipelined; ++id) {
+    ASSERT_TRUE((*client)->send(request(id)).isOk());
+  }
+  // The second thread sends from before the ack arrives until 32 sends
+  // after the session has seen it, so its sends overlap the accept's
+  // flush. A build slow enough to reach kCap first only loses overlap.
+  std::uint64_t next = kFirst + kPipelined;
+  std::thread sender([&] {
+    for (int afterAck = 0; afterAck < 32 && next < kFirst + kCap;) {
+      if (!(*client)->send(request(next)).isOk()) return;
+      ++next;
+      if (acked.load()) ++afterAck;
+      std::this_thread::yield();
+    }
+  });
+  sender.join();
+  const std::size_t want = 1 + static_cast<std::size_t>(next - kFirst);
+  {
+    std::unique_lock lock(rmu);
+    ASSERT_TRUE(rcv.wait_for(lock, 20s, [&] { return ids.size() == want; }));
+  }
+  EXPECT_EQ((*client)->kindName(), "shm");
+  EXPECT_EQ(ids[0], helloMessage().requestId);
+  for (std::size_t i = 1; i < want; ++i) {
+    ASSERT_EQ(ids[i], kFirst + i - 1) << "reply " << i << " out of order";
+  }
+  (*client)->close();
+  echo.server.stop();
 }
 
 TEST_F(ShmNegotiationTest, OldDaemonAnswerOnSocketSettlesDowngrade) {

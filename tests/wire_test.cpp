@@ -4,15 +4,19 @@
 // view-handler delivery contract.
 #include "common/rng.hpp"
 #include "msg/message.hpp"
+#include "msg/shm_transport.hpp"
 #include "msg/transport.hpp"
 #include "msg/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 namespace simfs::msg {
@@ -109,14 +113,14 @@ TEST(GoldenBytesTest, EncodeIntoPayloadMatchesEncodeByteForByte) {
   for (const Message& m :
        {goldenHello(), goldenBatchAck(), goldenRedirect()}) {
     WireBuffer buf;
-    encodeInto(m, buf);
+    encodeInto(RefOf(m).ref(), buf);
     EXPECT_EQ(std::string(buf.payload()), encode(m));
   }
 }
 
 TEST(GoldenBytesTest, EncodeIntoFrameHeaderIsLengthPrefix) {
   WireBuffer buf;
-  encodeInto(goldenBatchAck(), buf);
+  encodeInto(RefOf(goldenBatchAck()).ref(), buf);
   // The frame layout must equal frame(encode(m)) — the old two-copy path.
   EXPECT_EQ(std::string(buf.view()), frame(encode(goldenBatchAck())));
   ASSERT_GE(buf.size(), WireBuffer::kFrameHeaderBytes);
@@ -145,10 +149,14 @@ TEST(GoldenBytesTest, MessageRefEncodesIdenticallyToMessage) {
   ref.text = m.text;
   WireBuffer fromRef;
   encodeInto(ref, fromRef);
-  WireBuffer fromMsg;
-  encodeInto(m, fromMsg);
-  EXPECT_EQ(fromRef.view(), fromMsg.view());
-  EXPECT_EQ(materialize(ref), m);
+  EXPECT_EQ(std::string(fromRef.payload()), encode(m));
+  EXPECT_EQ(*decode(fromRef.payload()), m);
+}
+
+TEST(GoldenBytesTest, RefOfCarriesFileListsPastItsInlineCapacity) {
+  Message m = goldenRedirect();
+  for (int i = 0; i < 20; ++i) m.files.push_back("dv" + std::to_string(i));
+  EXPECT_EQ(*decode(encode(m)), m);
 }
 
 // --- MessageView -------------------------------------------------------------
@@ -281,7 +289,7 @@ TEST(MessageViewTest, FuzzedBuffersMatchDecode) {
 
 TEST(WireBufferTest, SmallFramesStayInline) {
   WireBuffer buf;
-  encodeInto(goldenHello(), buf);
+  encodeInto(RefOf(goldenHello()).ref(), buf);
   EXPECT_LE(buf.size(), WireBuffer::kInlineCapacity);
   EXPECT_EQ(buf.capacity(), WireBuffer::kInlineCapacity);  // no heap spill
 }
@@ -291,14 +299,14 @@ TEST(WireBufferTest, LargePayloadsSpillAndSurviveMove) {
   m.type = MsgType::kSimFileClosed;
   m.files = {std::string(4096, 'a')};
   WireBuffer buf;
-  encodeInto(m, buf);
+  encodeInto(RefOf(m).ref(), buf);
   EXPECT_GT(buf.capacity(), WireBuffer::kInlineCapacity);
   const std::string before(buf.view());
   WireBuffer moved = std::move(buf);
   EXPECT_EQ(std::string(moved.view()), before);
   // Inline contents must be copied by moves too.
   WireBuffer small;
-  encodeInto(goldenHello(), small);
+  encodeInto(RefOf(goldenHello()).ref(), small);
   const std::string smallBytes(small.view());
   WireBuffer movedSmall = std::move(small);
   EXPECT_EQ(std::string(movedSmall.view()), smallBytes);
@@ -306,7 +314,7 @@ TEST(WireBufferTest, LargePayloadsSpillAndSurviveMove) {
 
 TEST(WireBufferTest, AppendingAnEmptyViewChangesNothing) {
   WireBuffer buf;
-  encodeInto(goldenHello(), buf);
+  encodeInto(RefOf(goldenHello()).ref(), buf);
   const std::string before(buf.view());
   const std::string_view empty;  // data() is nullptr
   buf.append(empty.data(), empty.size());
@@ -319,7 +327,7 @@ TEST(WireBufferTest, ShrinkDropsOversizedHeap) {
   m.type = MsgType::kSimFileClosed;
   m.files = {std::string(1 << 20, 'a')};
   WireBuffer buf;
-  encodeInto(m, buf);
+  encodeInto(RefOf(m).ref(), buf);
   EXPECT_GT(buf.capacity(), 64u * 1024);
   buf.shrink(64 * 1024);
   EXPECT_EQ(buf.capacity(), WireBuffer::kInlineCapacity);
@@ -329,7 +337,7 @@ TEST(WireBufferTest, ShrinkDropsOversizedHeap) {
 TEST(BufferPoolTest, ReusesReleasedBuffers) {
   BufferPool pool(4, 64 * 1024);
   WireBuffer a = pool.acquire();
-  encodeInto(goldenBatchAck(), a);
+  encodeInto(RefOf(goldenBatchAck()).ref(), a);
   pool.release(std::move(a));
   EXPECT_EQ(pool.retained(), 1u);
   WireBuffer b = pool.acquire();
@@ -358,7 +366,7 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
       m.intArg = t;
       for (int i = 0; i < 2000; ++i) {
         WireBuffer buf = pool.acquire();
-        encodeInto(m, buf);
+        encodeInto(RefOf(m).ref(), buf);
         const auto view = MessageView::parse(buf.payload());
         if (!view.isOk() || view->intArg() != t) fail.store(true);
         pool.release(std::move(buf));
@@ -386,7 +394,9 @@ TEST(ArenaTest, CopiesViewsIntoStableStorage) {
     copy = copyToArena(*view, arena);
     std::fill(ephemeral.begin(), ephemeral.end(), '\0');
   }
-  EXPECT_EQ(materialize(copy), m);
+  WireBuffer reencoded;
+  encodeInto(copy, reencoded);
+  EXPECT_EQ(*decode(reencoded.payload()), m);
 }
 
 TEST(ArenaTest, ResetRecyclesBlocksWithoutFreeing) {
@@ -451,16 +461,136 @@ TEST(ViewHandlerTest, InProcDeliversViewsBothWays) {
   EXPECT_EQ(atB[1].requestId, 9u);
 }
 
-TEST(ViewHandlerTest, PreHandlerBacklogReplaysToViewHandler) {
-  auto [a, b] = makeInProcPair();
-  ASSERT_TRUE(a->send(goldenHello()).isOk());
-  ASSERT_TRUE(a->send(goldenRedirect()).isOk());
-  std::vector<Message> atB;
-  b->setViewHandler([&](const MessageView& v) { atB.push_back(v.toMessage()); });
-  ASSERT_EQ(atB.size(), 2u);
-  EXPECT_EQ(atB[0], goldenHello());
-  EXPECT_EQ(atB[1], goldenRedirect());
+/// The receiving end of one transport kind, and the end that feeds it.
+struct Endpoints {
+  std::unique_ptr<UnixSocketServer> server;
+  std::unique_ptr<Transport> sender;
+  std::unique_ptr<Transport> receiver;
+};
+
+/// in-proc: a plain pair. socket: the server end of a fresh connection.
+/// shm: the server end of a session that upgraded to the ring pair (the
+/// daemon's side, whose consumer runs before any handler exists).
+Endpoints connectKind(const std::string& kind, const std::string& path) {
+  Endpoints e;
+  if (kind == "inproc") {
+    std::tie(e.sender, e.receiver) = makeInProcPair();
+    return e;
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  std::unique_ptr<Transport> accepted;
+  e.server = std::make_unique<UnixSocketServer>(path);
+  EXPECT_TRUE(e.server
+                  ->start([&](std::unique_ptr<Transport> conn) {
+                    std::lock_guard lock(mu);
+                    accepted = std::move(conn);
+                    cv.notify_all();
+                  })
+                  .isOk());
+  auto client = unixSocketConnect(path);
+  EXPECT_TRUE(client.isOk());
+  e.sender = std::move(*client);
+  std::unique_lock lock(mu);
+  EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                          [&] { return accepted != nullptr; }));
+  if (kind == "socket") {
+    e.receiver = std::move(accepted);
+    return e;
+  }
+  // shm: adopt the client's offer and ack over the ring, as the daemon
+  // does, but install no handler on the upgraded end.
+  std::unique_ptr<Transport> shm;
+  bool acked = false;
+  accepted->setHandler([&](Message&& hello) {
+    std::lock_guard inner(mu);
+    shm = shmAdoptServer(hello.text, accepted);
+    Message ack;
+    ack.type = MsgType::kHelloAck;
+    ack.intArg2 = static_cast<std::int64_t>(TransportChoice::kShm);
+    if (shm) (void)shm->send(ack);
+  });
+  e.sender->setHandler([&](Message&&) {
+    std::lock_guard inner(mu);
+    acked = true;
+    cv.notify_all();
+  });
+  lock.unlock();
+  EXPECT_TRUE(e.sender->send(goldenHello()).isOk());
+  lock.lock();
+  EXPECT_TRUE(
+      cv.wait_for(lock, std::chrono::seconds(5), [&] { return acked; }));
+  EXPECT_EQ(e.sender->kindName(), "shm");
+  e.sender->setViewHandler(nullptr);  // it captures this frame's locals
+  e.receiver = std::move(shm);
+  return e;
 }
+
+/// Messages sent before the receiver has a handler are kept as encoded
+/// frames and replayed, in order, on the thread that installs one — for
+/// a view handler and for an owned-message (setHandler) edge consumer.
+class PreHandlerBacklogTest
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(PreHandlerBacklogTest, ReplaysInOrder) {
+  const auto& [kind, owned] = GetParam();
+  // Declared before the endpoints, so an early return tears the
+  // transports down before the state their handlers write.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<Message> got;
+  std::size_t replayed = 0;  // delivered on this thread, inside the install
+  const std::string path =
+      "/tmp/simfs_wire_backlog_" + std::to_string(::getpid()) + ".sock";
+  Endpoints e = connectKind(kind, path);
+  ASSERT_NE(e.receiver, nullptr);
+  constexpr std::uint64_t kBacklog = 20;
+  for (std::uint64_t i = 0; i < kBacklog; ++i) {
+    Message m = i % 2 == 0 ? goldenBatchAck() : goldenRedirect();
+    m.requestId = 1000 + i;
+    ASSERT_TRUE(e.sender->send(m).isOk());
+  }
+  // Give the socket and ring deliveries time to land in the backlog.
+  if (kind != "inproc") {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+
+  const auto installer = std::this_thread::get_id();
+  auto record = [&](Message m) {
+    std::lock_guard lock(mu);
+    if (std::this_thread::get_id() == installer) ++replayed;
+    got.push_back(std::move(m));
+    cv.notify_all();
+  };
+  if (owned) {
+    e.receiver->setHandler([&](Message&& m) { record(std::move(m)); });
+  } else {
+    e.receiver->setViewHandler(
+        [&](const MessageView& v) { record(v.toMessage()); });
+  }
+  std::unique_lock lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                          [&] { return got.size() == kBacklog; }));
+  EXPECT_GT(replayed, 0u);
+  for (std::uint64_t i = 0; i < kBacklog; ++i) {
+    Message want = i % 2 == 0 ? goldenBatchAck() : goldenRedirect();
+    want.requestId = 1000 + i;
+    EXPECT_EQ(got[i], want) << "message " << i;
+  }
+  lock.unlock();
+  e.sender->close();
+  e.receiver.reset();
+  if (e.server) e.server->stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, PreHandlerBacklogTest,
+    ::testing::Combine(::testing::Values("inproc", "socket", "shm"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_owned" : "_view");
+    });
 
 /// A handler that replies inline over a second in-proc pair exercises the
 /// nested scratch-buffer delivery (outer view must stay intact).
