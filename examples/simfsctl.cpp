@@ -28,8 +28,9 @@
 //
 //   simfsctl stats <socket-path>
 //       Queries a running DV daemon for its per-shard serving counters
-//       (queued/served requests, batch sizes, shed requests, resident
-//       steps, and the autotuner feed: accesses/misses/resim_steps).
+//       (queued/served requests, batch sizes, shed requests, requests
+//       served inline on the dispatching thread, resident steps, and the
+//       autotuner feed: accesses/misses/resim_steps).
 //
 //   simfsctl ring <socket-path>
 //       Prints the daemon's federation membership table (node ids,

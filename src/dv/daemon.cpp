@@ -94,6 +94,28 @@ std::size_t resolveQueueCap(std::size_t fromOptions) {
 constexpr std::size_t kWarmQueueDepth = 2048;
 constexpr std::size_t kServingArenaBytes = 256 * 1024;
 
+/// The arena a thread serves inline requests (and builds their replies)
+/// in: one per dispatching thread, warm after its first request.
+msg::Arena& inlineArena() {
+  thread_local msg::Arena arena(64 * 1024);
+  return arena;
+}
+
+/// Set while this thread serves a request inline. An in-proc reply sent
+/// from there re-enters dispatch on the same thread, and that nested
+/// request must take the queue: the outer replies still live in the
+/// thread's arena.
+thread_local bool tServingInline = false;
+
+/// Client requests a dispatching thread may serve itself, without a
+/// worker: releases always (they only drop references), opens when
+/// DvShard::servesWithoutLaunch says they are plain hits.
+bool inlineCandidate(msg::MsgType type) noexcept {
+  return type == msg::MsgType::kOpenBatchReq ||
+         type == msg::MsgType::kReleaseReq ||
+         type == msg::MsgType::kCloseNotify;
+}
+
 /// Environment interval knob in milliseconds, converted to VTime ns.
 VDuration intervalKnobNs(const char* name, std::int64_t defaultMs) {
   const auto ms = env::getInt(name).value_or(defaultMs);
@@ -121,17 +143,17 @@ struct Daemon::Session {
   std::atomic<int> shard{-1};        ///< bound by kHello (context's shard)
   std::atomic<bool> defunct{false};  ///< transport closed
   /// Context this session bound to, for the per-op moved-context check
-  /// after an elastic ring change. Written and read only by the single
-  /// worker draining the bound shard.
+  /// after an elastic ring change. Written and read only by the thread
+  /// holding the bound shard's claim.
   std::string context;
 
   /// Recently-answered kOpenBatchReq acks, by requestId: a client that
   /// resends a batch under the same id (per-op timeout retry, rebind
   /// resend racing the old delivery) gets the cached ack replayed
   /// instead of double-registering interest — the dedup window that
-  /// makes idempotent resend safe. Touched only by the single worker
-  /// draining this session's bound shard, so no lock is needed; slots
-  /// are reused in a ring, so steady-state caching reuses capacity.
+  /// makes idempotent resend safe. Touched only by the thread holding
+  /// the claim on this session's bound shard, so no lock is needed;
+  /// slots are reused in a ring, so steady-state caching reuses capacity.
   struct CachedAck {
     std::uint64_t requestId = 0;
     msg::Message ack;
@@ -171,20 +193,26 @@ struct Daemon::ShardServing {
 
   mutable std::mutex qMutex;
   std::vector<DaemonRequest> queue;
+  /// Guarded by qMutex. Set by the one thread serving this shard — a
+  /// worker draining the queue, or a dispatcher serving a hit inline —
+  /// from before it touches the shard until its replies are flushed, so
+  /// requests are applied, and replies to a session sent, in arrival
+  /// order. Inline serving needs an empty queue as well as no claim.
+  bool claimed = false;
   /// Request/reply storage, double-buffered: dispatchers bump-copy into
-  /// arenas[activeArena] under qMutex while the worker's in-flight batch
-  /// (and the replies built from it) still reference the other arena.
-  /// drainShard flips the index when it steals the queue and resets the
-  /// drained arena after the reply flush — so arena memory is stable for
-  /// exactly as long as anything points into it, and a warm drain cycle
-  /// performs zero heap allocations.
+  /// arenas[activeArena] under qMutex while the claimed batch (and the
+  /// replies built from it) still reference the other arena. drainShard
+  /// flips the index when it steals the queue and resets the drained
+  /// arena after the reply flush, before it drops the claim — so arena
+  /// memory is stable for exactly as long as anything points into it,
+  /// and a warm drain cycle performs zero heap allocations.
   msg::Arena arenas[2] = {msg::Arena(kServingArenaBytes),
                           msg::Arena(kServingArenaBytes)};
   int activeArena = 0;  ///< guarded by qMutex
 
-  // Touched only by the one worker that drains this shard (plus readers
-  // of the counters): no locks needed beyond the queue mutex above.
-  msg::Arena* replyArena = nullptr;  ///< arena of the batch being processed
+  // Touched only by the thread holding the claim (plus readers of the
+  // counters): no locks needed beyond the queue mutex above.
+  msg::Arena* replyArena = nullptr;  ///< arena the replies are built in
   std::map<ClientId, std::shared_ptr<Session>> byClient;
   std::vector<std::pair<std::shared_ptr<Session>, msg::MessageRef>> out;
 
@@ -193,6 +221,7 @@ struct Daemon::ShardServing {
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> maxBatch{0};
   std::atomic<std::uint64_t> shed{0};
+  std::atomic<std::uint64_t> inlineServed{0};
 };
 
 struct Daemon::Worker {
@@ -324,8 +353,9 @@ void Daemon::maybeUpgradeToShm(const std::shared_ptr<Session>& session,
   if ((m.intArg2() & msg::kHelloCapShm) == 0) return;
   if (m.text().empty() || !msg::shmNegotiationEnabled()) return;
   if (session->transport->kindName() != "socket") return;
-  // Never on a bound session: workers may be sending replies on this
-  // transport concurrently (the re-hello is rejected downstream anyway).
+  // Never on a bound session: a shard's claim holder may be sending
+  // replies on this transport concurrently (the re-hello is rejected
+  // downstream anyway).
   if (session->client.load() != 0 || session->shard.load() >= 0) return;
   auto shm = msg::shmAdoptServer(std::string(m.text()), session->transport);
   if (!shm) return;  // bad segment: decline silently, the socket ack settles
@@ -398,10 +428,14 @@ void Daemon::stop() {
     if (w->thread.joinable()) w->thread.join();
   }
   // Sweep requests that raced past the workers' final pass so no client
-  // is left waiting for a reply that never comes; enqueue()'s post-push
-  // stopping_ re-check (under stopMutex_) covers everything later.
+  // is left waiting for a reply that never comes. wakeShard()'s stopping_
+  // check (under stopMutex_) covers everything later, including requests
+  // queued behind a claim still held by an inline server.
   std::vector<DaemonRequest> batch;
-  for (std::size_t s = 0; s < serving_.size(); ++s) (void)drainShard(s, batch);
+  for (std::size_t s = 0; s < serving_.size(); ++s) {
+    while (drainShard(s, batch)) {
+    }
+  }
   workersJoined_ = true;
 }
 
@@ -413,7 +447,7 @@ void Daemon::drain() {
     bool empty = true;
     for (const auto& sv : serving_) {
       std::lock_guard lock(sv->qMutex);
-      if (!sv->queue.empty()) {
+      if (!sv->queue.empty() || sv->claimed) {
         empty = false;
         break;
       }
@@ -1428,13 +1462,19 @@ bool Daemon::enqueueClient(std::size_t shard,
   // overload would leak exactly when the daemon can least afford it. The
   // check shares the queue's one lock acquisition, so concurrent
   // dispatchers cannot overshoot the cap — and the arena copy happens
-  // under the same lock, into the queue's active arena.
+  // under the same lock, into the queue's active arena. So does the
+  // inline decision: a request that cannot be served inline queues
+  // without a second acquisition.
   const bool sheddable = m.type() != msg::MsgType::kCancelReq &&
                          ackTypeFor(m.type()) != msg::MsgType::kError;
   bool shed = false;
+  std::unique_lock shardLock(core_.mutexOf(shard), std::defer_lock);
+  msg::MessageRef request;
   {
     std::lock_guard lock(sv.qMutex);
-    if (sheddable && sv.queue.size() >= queueCap_) {
+    if (claimInline(shard, *session, m, shardLock, request)) {
+      // Claimed: served below, on this thread.
+    } else if (sheddable && sv.queue.size() >= queueCap_) {
       shed = true;
     } else {
       DaemonRequest req;
@@ -1443,6 +1483,10 @@ bool Daemon::enqueueClient(std::size_t shard,
       req.msg = msg::copyToArena(m, sv.arenas[sv.activeArena]);
       sv.queue.push_back(std::move(req));
     }
+  }
+  if (shardLock.owns_lock()) {
+    serveInline(shard, session, request, shardLock);
+    return true;
   }
   if (shed) {
     sv.shed.fetch_add(1, std::memory_order_relaxed);
@@ -1459,16 +1503,77 @@ bool Daemon::enqueueClient(std::size_t shard,
   return true;
 }
 
+bool Daemon::claimInline(std::size_t shard, const Session& session,
+                         const msg::MessageView& m,
+                         std::unique_lock<std::mutex>& shardLock,
+                         msg::MessageRef& request) {
+  // Only an idle shard: with a request queued (or a batch being served)
+  // this one must wait its turn behind it. try_lock, because a
+  // dispatching thread never waits for a shard lock.
+  auto& sv = *serving_[shard];
+  if (!inlineCandidate(m.type()) || tServingInline || !sv.queue.empty() ||
+      sv.claimed || !shardLock.try_lock()) {
+    return false;
+  }
+  msg::Arena& arena = inlineArena();
+  request = msg::copyToArena(m, arena);
+  if (request.type == msg::MsgType::kOpenBatchReq &&
+      !core_.shard(shard).servesWithoutLaunch(session.client.load(),
+                                              request.files)) {
+    shardLock.unlock();
+    arena.reset();
+    return false;
+  }
+  sv.claimed = true;
+  return true;
+}
+
+void Daemon::serveInline(std::size_t shard,
+                         const std::shared_ptr<Session>& session,
+                         const msg::MessageRef& request,
+                         std::unique_lock<std::mutex>& shardLock) {
+  auto& sv = *serving_[shard];
+  // Counted as enqueued too, so served <= enqueued keeps meaning "nothing
+  // in flight" at quiescence.
+  sv.enqueued.fetch_add(1, std::memory_order_relaxed);
+  tServingInline = true;
+  sv.replyArena = &inlineArena();
+  processClientMessage(shard, core_.shard(shard), session, request);
+  shardLock.unlock();
+  // A batch of one: dv.mean_batch stays requests per shard-lock hold.
+  sv.inlineServed.fetch_add(1, std::memory_order_relaxed);
+  sv.served.fetch_add(1, std::memory_order_relaxed);
+  sv.batches.fetch_add(1, std::memory_order_relaxed);
+  atomicMax(sv.maxBatch, 1);
+  flushReplies(sv);
+  inlineArena().reset();
+  tServingInline = false;
+  bool queued = false;
+  {
+    std::lock_guard lock(sv.qMutex);
+    sv.claimed = false;
+    queued = !sv.queue.empty();
+  }
+  // Requests that arrived during the claim found the shard busy and
+  // queued; their worker may have found it claimed and gone back to sleep.
+  if (queued) wakeShard(shard);
+}
+
 void Daemon::finishEnqueue(std::size_t shard) {
   serving_[shard]->enqueued.fetch_add(1, std::memory_order_relaxed);
+  wakeShard(shard);
+}
+
+void Daemon::wakeShard(std::size_t shard) {
   if (stopping_.load()) {
     // Shutdown race: the workers (or stop()'s sweep) may already be past
     // this queue. Once the join has completed we own the pipeline
-    // exclusively under stopMutex_ and can serve the request here.
+    // exclusively under stopMutex_ and can serve the queue here.
     std::lock_guard stopLock(stopMutex_);
     if (workersJoined_) {
       std::vector<DaemonRequest> batch;
-      (void)drainShard(shard, batch);
+      while (drainShard(shard, batch)) {
+      }
     }
     return;
   }
@@ -1544,16 +1649,18 @@ bool Daemon::drainShard(std::size_t shard, std::vector<DaemonRequest>& batch) {
   int drainedArena = 0;
   {
     std::lock_guard lock(sv.qMutex);
-    if (sv.queue.empty()) return false;
+    // A claimed shard is being served elsewhere; that thread wakes this
+    // shard's worker when it drops the claim with requests queued.
+    if (sv.queue.empty() || sv.claimed) return false;
+    sv.claimed = true;
     batch.swap(sv.queue);
     // Flip the arenas: new requests copy into the other one while this
     // batch (whose MessageRefs point into arenas[drainedArena]) is
-    // processed. Safe because exactly one worker drains a given shard,
-    // so the previous batch from the other arena has fully retired.
+    // processed. Safe because the claim is held until the previous batch
+    // from the other arena has fully retired.
     drainedArena = sv.activeArena;
     sv.activeArena ^= 1;
   }
-  sv.out.clear();
   // Replies (and kFileReady notifications) are built in the same arena
   // as the batch: both stay valid until after the flush below.
   sv.replyArena = &sv.arenas[drainedArena];
@@ -1566,33 +1673,41 @@ bool Daemon::drainShard(std::size_t shard, std::vector<DaemonRequest>& batch) {
   sv.batches.fetch_add(1, std::memory_order_relaxed);
   sv.served.fetch_add(batch.size(), std::memory_order_relaxed);
   atomicMax(sv.maxBatch, batch.size());
-  // Flush replies and notifications outside the shard lock; the reactor
-  // coalesces consecutive frames per connection into writev batches. The
-  // transports serialize into their own pooled buffers, so the arena may
-  // be reset the moment the loop finishes.
+  flushReplies(sv);
+  batch.clear();  // release session references promptly
+  sv.arenas[drainedArena].reset();
+  {
+    // The caller drains again if the queue filled meanwhile.
+    std::lock_guard lock(sv.qMutex);
+    sv.claimed = false;
+  }
+  return true;
+}
+
+void Daemon::flushReplies(ShardServing& sv) {
+  // Replies and notifications go out after the shard lock drops but
+  // before the claim does; the reactor coalesces consecutive frames per
+  // connection into writev batches. The transports serialize into their
+  // own pooled buffers, so the arena may be reset the moment this returns.
   for (auto& [session, message] : sv.out) {
     if (!session->transport->send(message).isOk()) {
       SIMFS_LOG_DEBUG(kTag, "dropping reply to closed session");
     }
   }
   sv.out.clear();
-  batch.clear();  // release session references promptly
   sv.replyArena = nullptr;
-  sv.arenas[drainedArena].reset();
-  return true;
 }
 
 void Daemon::onNotify(ClientId client, const std::string& file,
                       const Status& st) {
-  // Fires inside DvShard calls, i.e. on the worker currently holding this
-  // client's shard lock mid-drain; buffered and sent after the lock
-  // drops.
+  // Fires inside DvShard calls, i.e. on the thread holding this client's
+  // shard claim and lock; buffered and sent after the lock drops.
   const std::size_t shard = core_.shardOfClient(client);
   auto& sv = *serving_[shard];
   const auto it = sv.byClient.find(client);
   if (it == sv.byClient.end()) return;
   if (sv.replyArena == nullptr) {
-    // Outside a drain no flush follows (setup-time seeding has no
+    // Outside a claim no flush follows (setup-time seeding has no
     // connected clients; every serving-path DvShard call happens inside
     // one) — mirror the old pipeline, which cleared stale entries at the
     // next drain without sending them.
@@ -1705,7 +1820,7 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
       if (id.isOk()) {
         session->shard.store(static_cast<int>(shardIndex));
         session->client.store(*id);
-        session->context.assign(m.context);  // single-worker access
+        session->context.assign(m.context);  // claim holder only
         sv.byClient[*id] = session;
         // The transport may already have died: its close handler then saw
         // client == 0 and could not enqueue a disconnect, so the session
@@ -1958,6 +2073,7 @@ std::vector<Daemon::ShardCounters> Daemon::shardCounters() const {
     c.batches = sv.batches.load(std::memory_order_relaxed);
     c.maxBatch = sv.maxBatch.load(std::memory_order_relaxed);
     c.shed = sv.shed.load(std::memory_order_relaxed);
+    c.inlineServed = sv.inlineServed.load(std::memory_order_relaxed);
     {
       std::lock_guard lock(sv.qMutex);
       c.queued = sv.queue.size();
@@ -2026,7 +2142,7 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
     reply.files.push_back(str::format(
         "shard=%zu;contexts=%s;queued=%zu;enqueued=%llu;served=%llu;"
         "batches=%llu;max_batch=%llu;shed=%llu;resident_steps=%zu;"
-        "accesses=%llu;misses=%llu;resim_steps=%llu",
+        "accesses=%llu;misses=%llu;resim_steps=%llu;inline=%llu",
         c.shard, contexts.c_str(), c.queued,
         static_cast<unsigned long long>(c.enqueued),
         static_cast<unsigned long long>(c.served),
@@ -2035,7 +2151,8 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
         static_cast<unsigned long long>(c.shed), c.residentSteps,
         static_cast<unsigned long long>(c.accesses),
         static_cast<unsigned long long>(c.misses),
-        static_cast<unsigned long long>(c.resimSteps)));
+        static_cast<unsigned long long>(c.resimSteps),
+        static_cast<unsigned long long>(c.inlineServed)));
   }
   return reply;
 }

@@ -6,6 +6,8 @@
 //        │   zero-copy: inbound frames arrive as msg::MessageView over the
 //        │   receive buffer; route by context / client id / job id — no
 //        │   global lock
+//        ├──► hits and releases on an idle shard: served to completion on
+//        │    the dispatching thread (no queue, no thread handoff)
 //        ▼
 //   per-shard MPSC request queues  (client requests and simulator events
 //        │   unified as DaemonRequest; client messages are bump-copied
@@ -22,8 +24,14 @@
 //   lock drops (the reactor coalesces them into writev batches)
 //
 // Contexts are pinned to shards, so traffic for different contexts never
-// contends; per-context request order is preserved because exactly one
-// worker drains any given shard's queue. Aggregate introspection
+// contends. One thread at a time holds a shard's claim — a worker
+// draining its queue, or a dispatcher serving one request inline — from
+// before it touches the shard until its replies are flushed. Inline
+// serving needs an empty queue, an unclaimed shard and an uncontended
+// shard lock, and is limited to releases and to opens that
+// DvShard::servesWithoutLaunch clears (resident steps, prefetch off), so
+// the dispatching thread never reaches the launcher. Together these keep
+// per-session request and reply order. Aggregate introspection
 // (kStatusReq, stats()) and per-shard counters (kShardStatsReq) are
 // answered on the dispatching thread without touching the queues.
 // Federation (src/cluster): a daemon can be given a node identity and a
@@ -82,11 +90,14 @@ class Daemon {
   struct ShardCounters {
     std::size_t shard = 0;
     std::vector<std::string> contexts;
-    std::uint64_t enqueued = 0;   ///< requests/events ever queued
+    std::uint64_t enqueued = 0;   ///< requests/events ever accepted
     std::uint64_t served = 0;     ///< requests/events processed
-    std::uint64_t batches = 0;    ///< queue drains (lock acquisitions)
+    std::uint64_t batches = 0;    ///< shard-lock holds (drains + inline)
     std::uint64_t maxBatch = 0;   ///< largest single drain
     std::uint64_t shed = 0;       ///< requests rejected by the queue cap
+    /// Requests served on their dispatching thread; each also counts in
+    /// enqueued, in served and as a batch of one.
+    std::uint64_t inlineServed = 0;
     std::size_t queued = 0;       ///< currently waiting in the queue
     std::size_t residentSteps = 0;
     /// TuneWindow feed for CacheAutotuner (cumulative; diff two samples
@@ -155,8 +166,8 @@ class Daemon {
 
   /// Graceful shutdown (SIGTERM): stops accepting new connections, waits
   /// (bounded by SIMFS_DRAIN_MS, default 2000) for the shard queues to
-  /// empty so in-flight replies flush, then stop()s. Safe to call from a
-  /// signal-forwarding thread.
+  /// empty and their claims to drop so in-flight replies flush, then
+  /// stop()s. Safe to call from a signal-forwarding thread.
   void drain();
 
   // --- simulator events (called by launcher implementations) ---------------------
@@ -194,9 +205,10 @@ class Daemon {
   struct Worker;
 
   /// Routes one inbound message on the thread it arrived on: introspection
-  /// is answered inline, everything else is arena-copied into its shard's
-  /// queue. `m` is a zero-copy view over the transport's receive buffer —
-  /// valid only for the duration of this call.
+  /// and hits or releases on an idle shard are answered inline,
+  /// everything else is arena-copied into its shard's queue. `m` is a
+  /// zero-copy view over the transport's receive buffer — valid only for
+  /// the duration of this call.
   void dispatch(const std::shared_ptr<Session>& session,
                 const msg::MessageView& m);
 
@@ -292,14 +304,33 @@ class Daemon {
   /// Queues a non-client request (sim event, disconnect) to its shard;
   /// these are never shed.
   void enqueue(std::size_t shard, DaemonRequest&& request);
-  /// Arena-copies a client message into its shard's queue. Returns false
-  /// when the request was shed instead (queue at queueCap_; the
-  /// kUnavailable reply has already been sent).
+  /// Serves a client message inline when it qualifies (claimInline),
+  /// else arena-copies it into its shard's queue. Returns false when the
+  /// request was shed instead (queue at queueCap_; the kUnavailable reply
+  /// has already been sent).
   bool enqueueClient(std::size_t shard, const std::shared_ptr<Session>& s,
                      const msg::MessageView& m);
-  /// Post-push bookkeeping shared by the enqueue paths: counters, the
-  /// stop-race drain, and the worker wakeup.
+  /// With the shard's qMutex held: true when `m` may be served on this
+  /// thread — a release, or an open DvShard::servesWithoutLaunch clears,
+  /// on a shard with nothing queued, no claim and a free lock. Then
+  /// the claim is set, `shardLock` holds the shard lock and `request` is
+  /// `m` copied into this thread's inline arena.
+  bool claimInline(std::size_t shard, const Session& s,
+                   const msg::MessageView& m,
+                   std::unique_lock<std::mutex>& shardLock,
+                   msg::MessageRef& request);
+  /// Serves a claimed request to completion on this thread: processing,
+  /// shard unlock, reply flush, claim release (waking the worker if
+  /// requests queued meanwhile).
+  void serveInline(std::size_t shard, const std::shared_ptr<Session>& s,
+                   const msg::MessageRef& request,
+                   std::unique_lock<std::mutex>& shardLock);
+  /// Post-push bookkeeping shared by the enqueue paths: counters, then
+  /// wakeShard.
   void finishEnqueue(std::size_t shard);
+  /// Gets a non-empty queue served: wakes the shard's worker, or after
+  /// stop() has joined the workers drains it on this thread.
+  void wakeShard(std::size_t shard);
   void enqueueSimEvent(DaemonRequest&& request);
   void onSessionClosed(const std::shared_ptr<Session>& session);
   /// Points the session's transport at this daemon (close + view handler).
@@ -314,7 +345,11 @@ class Daemon {
   /// Per-transport connection accounting at hello time (kShardStatsAck).
   void noteHelloTransport(const msg::Transport& t);
   void workerLoop(std::size_t workerIndex);
+  /// Claims the shard and serves its whole queue as one batch. False when
+  /// the queue was empty or the shard already claimed.
   bool drainShard(std::size_t shard, std::vector<DaemonRequest>& batch);
+  /// Sends the claim holder's buffered replies and notifications.
+  void flushReplies(ShardServing& sv);
   void processOnShard(std::size_t shardIndex, DvShard& shard,
                       DaemonRequest& request);
   void processClientMessage(std::size_t shardIndex, DvShard& shard,

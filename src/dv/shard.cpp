@@ -231,6 +231,26 @@ void DvShard::addWaiter(ContextState& /*ctx*/, StepIndex step, FileState& fs,
   }
 }
 
+bool DvShard::servesWithoutLaunch(
+    ClientId client, std::span<const std::string_view> files) const {
+  const auto it = clients_.find(client);
+  if (it == clients_.end()) return false;
+  const ContextState& ctx = *it->second.ctx;
+  const auto& cfg = ctx.driver->config();
+  if (cfg.prefetchEnabled) return false;
+  for (const auto file : files) {
+    if (cfg.codec.isRestartFile(file)) continue;
+    const auto key = ctx.driver->key(file);
+    if (!key) return false;
+    const auto fit = ctx.files.find(*key);
+    if (fit == ctx.files.end() ||
+        fit->second.kind != FileState::Kind::kAvailable) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Status DvShard::clientRelease(ClientId client, std::string_view file) {
   auto* info = findClient(client);
   if (info == nullptr) return errFailedPrecondition("dv: unknown client");

@@ -191,6 +191,14 @@ class DvShard {
   [[nodiscard]] OpenResult clientOpen(ClientId client, std::string_view file,
                                       VTime deadline = 0);
 
+  /// True when clientOpen of every file in `files` is a hit that cannot
+  /// reach the launcher: each file is a restart file or a resident step,
+  /// and the client's context has prefetching off (a prefetching agent
+  /// may launch on a hit). The daemon serves such opens on the thread
+  /// they arrive on. False for an unknown client or an unparsable file.
+  [[nodiscard]] bool servesWithoutLaunch(
+      ClientId client, std::span<const std::string_view> files) const;
+
   /// Transparent-mode close / SIMFS_Release: drops one reference.
   Status clientRelease(ClientId client, std::string_view file);
 

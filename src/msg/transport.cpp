@@ -1,6 +1,5 @@
 #include "msg/transport.hpp"
 
-#include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/log.hpp"
 #include "msg/handler_slot.hpp"
@@ -15,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -225,15 +225,17 @@ struct Conn {
   std::atomic<bool> open{true};
 };
 
-/// Epoll reactor: one (or SIMFS_REACTOR_THREADS) event-loop thread(s) own
-/// every socket endpoint of the process. Inbound frames are decoded IN
-/// PLACE over the receive buffer and dispatched as MessageViews on the
-/// loop thread; outbound frames are pooled WireBuffers queued per
-/// connection and flushed as one writev per loop pass (send batching).
-/// All epoll_ctl and connection-table mutation happens on the owning loop
-/// thread, driven by a command queue + eventfd wakeup. Commands are plain
-/// structs (kind + connection), not std::functions, so posting one never
-/// allocates.
+/// Epoll reactor: one event-loop thread per core owns a share of the
+/// process's socket endpoints (connections are dealt round-robin).
+/// Inbound frames are decoded IN PLACE over the receive buffer and
+/// dispatched as MessageViews on the loop thread; outbound frames are
+/// pooled WireBuffers queued per connection and flushed as one writev per
+/// loop pass (send batching). All epoll_ctl and connection-table mutation
+/// happens on the owning loop thread, driven by a command queue + eventfd
+/// wakeup; a loop posting to its own queue (a reply sent from inside one
+/// of its handlers) skips the eventfd write and picks the command up
+/// before it next blocks. Commands are plain structs (kind + connection),
+/// not std::functions, so posting one never allocates.
 class Reactor {
  public:
   explicit Reactor(std::size_t nLoops) {
@@ -287,13 +289,10 @@ class Reactor {
     }
   }
 
-  /// Process-wide reactor; sized by SIMFS_REACTOR_THREADS (default 1).
+  /// Process-wide reactor: one loop per core, at most 16.
   static Reactor& shared() {
-    static Reactor instance([] {
-      const auto v = env::getInt("SIMFS_REACTOR_THREADS");
-      if (!v) return std::size_t{1};
-      return static_cast<std::size_t>(std::clamp<std::int64_t>(*v, 1, 16));
-    }());
+    static Reactor instance(std::clamp<std::size_t>(
+        std::thread::hardware_concurrency(), 1, 16));
     return instance;
   }
 
@@ -329,7 +328,7 @@ class Reactor {
   /// again (drop-safe handshake for ~ReactorTransport).
   void remove(const std::shared_ptr<Conn>& conn) {
     Loop& loop = *loops_[conn->loop];
-    if (std::this_thread::get_id() == loop.threadId) {
+    if (tCurrentLoop == &loop) {
       deregister(loop, conn);
       return;
     }
@@ -367,14 +366,19 @@ class Reactor {
     int epollFd = -1;
     int wakeFd = -1;
     std::thread thread;
-    std::thread::id threadId;
     std::mutex cmdMutex;
     std::vector<Cmd> commands;
     std::unordered_map<int, std::shared_ptr<Conn>> conns;
     /// Closed connections still draining their tail (grace-bounded).
     std::unordered_set<std::shared_ptr<Conn>> closingConns;
+    /// The loop posted to its own queue since its last swap (loop-thread
+    /// only): such posts write no eventfd, so run() must not block.
+    bool selfPosted = false;
     std::atomic<bool> stop{false};
   };
+
+  /// The loop whose run() executes on this thread (null elsewhere).
+  static inline thread_local const Loop* tCurrentLoop = nullptr;
 
   void post(Cmd cmd) {
     Loop& loop = *loops_[cmd.conn->loop];
@@ -384,7 +388,13 @@ class Reactor {
       needWake = loop.commands.empty();
       loop.commands.push_back(std::move(cmd));
     }
-    if (needWake) wake(loop);
+    // A loop's own posts need no eventfd write: run() sees selfPosted
+    // before it blocks in epoll_wait.
+    if (tCurrentLoop == &loop) {
+      loop.selfPosted = true;
+    } else if (needWake) {
+      wake(loop);
+    }
   }
 
   void wake(Loop& loop) {
@@ -441,21 +451,24 @@ class Reactor {
   }
 
   void run(Loop& loop) {
-    loop.threadId = std::this_thread::get_id();
+    tCurrentLoop = &loop;
     std::vector<epoll_event> events(64);
     std::vector<Cmd> cmds;
     cmds.reserve(kLoopCommands);
     for (;;) {
       cmds.clear();
+      loop.selfPosted = false;
       {
         std::lock_guard lock(loop.cmdMutex);
         cmds.swap(loop.commands);
       }
       for (auto& c : cmds) execute(loop, c);
       if (loop.stop.load()) return;
-      // Block indefinitely unless a closed connection is still draining;
-      // then wake periodically to enforce its grace deadline.
-      const int timeoutMs = loop.closingConns.empty() ? -1 : 100;
+      // Commands the loop posted to itself since the swap only poll.
+      // Otherwise block indefinitely unless a closed connection is still
+      // draining; then wake periodically to enforce its grace deadline.
+      const int timeoutMs =
+          loop.selfPosted ? 0 : (loop.closingConns.empty() ? -1 : 100);
       const int n = ::epoll_wait(loop.epollFd, events.data(),
                                  static_cast<int>(events.size()), timeoutMs);
       if (n < 0) {

@@ -7,11 +7,12 @@
 //   * Unix-domain stream sockets — the daemon deployment (the paper uses
 //     TCP/IP; a UNIX socket carries the identical framed protocol and
 //     keeps the examples self-contained). All socket endpoints of the
-//     process are owned by a shared epoll reactor: one (or
-//     SIMFS_REACTOR_THREADS) event-loop thread(s) service every
-//     connection, and outbound messages are batched into writev() calls
+//     process are owned by a shared epoll reactor: one event-loop thread
+//     per core (at most 16), each serving its round-robin share of the
+//     connections, and outbound messages are batched into writev() calls
 //     instead of one write per frame — connection count no longer implies
-//     thread count.
+//     thread count. A reply sent from inside a receive handler queues on
+//     the handler's own loop without an eventfd wakeup.
 //   * Same-host shared memory — a socket session that upgrades to a ring
 //     pair during the kHello handshake (see shm_transport.hpp).
 //

@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -253,6 +256,7 @@ TEST_F(SocketDaemonTest, ShardStatsReportPerShardCounters) {
     if (line.find("contexts=sock") != std::string::npos) {
       sawServing = true;
       EXPECT_NE(line.find("resident_steps="), std::string::npos);
+      EXPECT_NE(line.find(";inline="), std::string::npos) << line;
       EXPECT_EQ(line.find("served=0;"), std::string::npos) << line;
     }
   }
@@ -446,6 +450,349 @@ TEST(DaemonBackpressureTest, ShedsClientRequestsOverQueueCap) {
   // briefly takes every shard mutex.)
   EXPECT_EQ(daemon.shardCounters()[0].shed, 1u);
   conn->close();
+}
+
+// --- hits served on the dispatching thread -----------------------------------
+
+/// Replies one in-proc client received, in arrival order. An in-proc
+/// send dispatches on the sending thread, so a request served inline has
+/// its reply here by the time send() returns; a queued one usually not.
+struct ReplyLog {
+  void attach(msg::Transport& t) {
+    t.setHandler([this](msg::Message&& m) {
+      std::lock_guard lock(mu);
+      replies.push_back(std::move(m));
+      cv.notify_all();
+    });
+  }
+  bool has(std::uint64_t id) {
+    std::lock_guard lock(mu);
+    return find(id) != nullptr;
+  }
+  /// The reply to `id`, or a message with code kTimedOut when none came
+  /// within 10 s.
+  msg::Message waitFor(std::uint64_t id) {
+    std::unique_lock lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return find(id) != nullptr; })) {
+      msg::Message none;
+      none.code = static_cast<std::int32_t>(StatusCode::kTimedOut);
+      return none;
+    }
+    return *find(id);
+  }
+  std::vector<std::uint64_t> order() {
+    std::lock_guard lock(mu);
+    std::vector<std::uint64_t> ids;
+    for (const auto& r : replies) ids.push_back(r.requestId);
+    return ids;
+  }
+  const msg::Message* find(std::uint64_t id) const {
+    for (const auto& r : replies) {
+      if (r.requestId == id) return &r;
+    }
+    return nullptr;
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<msg::Message> replies;
+};
+
+/// Records the thread of every launch() and, while closed, parks it there.
+struct ParkingLauncher final : SimLauncher {
+  explicit ParkingLauncher(bool startOpen) : open(startOpen) {}
+  void launch(SimJobId, const simmodel::JobSpec&) override {
+    std::unique_lock lock(mutex);
+    threads.push_back(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  }
+  void kill(SimJobId) override {}
+  bool waitLaunches(std::size_t n) {
+    std::unique_lock lock(mutex);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return threads.size() >= n; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mutex);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  std::vector<std::thread::id> launchThreads() {
+    std::lock_guard lock(mutex);
+    return threads;
+  }
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open;
+  std::vector<std::thread::id> threads;
+};
+
+msg::Message fileRequest(msg::MsgType type, std::uint64_t id,
+                         const std::string& file) {
+  msg::Message m;
+  m.type = type;
+  m.requestId = id;
+  m.files = {file};
+  return m;
+}
+
+/// A one-shard, one-worker daemon serving socketConfig() (prefetch as
+/// given) with steps [residentFrom, residentTo] seeded resident.
+std::unique_ptr<Daemon> oneShardDaemon(bool prefetch, SimLauncher* launcher,
+                                       StepIndex residentFrom,
+                                       StepIndex residentTo) {
+  Daemon::Options options;
+  options.shards = 1;
+  options.workers = 1;
+  auto daemon = std::make_unique<Daemon>(options);
+  ContextConfig cfg = socketConfig();
+  cfg.prefetchEnabled = prefetch;
+  EXPECT_TRUE(
+      daemon->registerContext(std::make_unique<simmodel::SyntheticDriver>(cfg))
+          .isOk());
+  daemon->setLauncher(launcher);
+  for (StepIndex s = residentFrom; s <= residentTo; ++s) {
+    EXPECT_TRUE(daemon->seedAvailableStep(cfg.name, s).isOk());
+  }
+  return daemon;
+}
+
+void helloOk(msg::Transport& conn, ReplyLog& log) {
+  msg::Message hello;
+  hello.type = msg::MsgType::kHello;
+  hello.requestId = 1;
+  hello.context = "sock";
+  hello.intArg = static_cast<std::int64_t>(msg::ClientRole::kAnalysis);
+  ASSERT_TRUE(conn.send(hello).isOk());
+  EXPECT_EQ(log.waitFor(1).code, 0);
+}
+
+TEST(DaemonInlineTest, PipelinedHitIsAnsweredAfterTheQueuedMissAheadOfIt) {
+  // A hit may only skip the queue when nothing is ahead of it: one session
+  // pipelines a miss (its worker parks in launch()), a resident open and
+  // that open's release. The hit and the release wait for the miss, and
+  // all three acks arrive in request order.
+  ParkingLauncher launcher(/*startOpen=*/false);
+  auto daemon = oneShardDaemon(/*prefetch=*/false, &launcher, 5, 5);
+  const auto cfg = socketConfig();
+  ReplyLog log;
+  auto conn = daemon->connectInProc();
+  log.attach(*conn);
+  helloOk(*conn, log);
+
+  ASSERT_TRUE(conn->send(fileRequest(msg::MsgType::kOpenBatchReq, 2,
+                                     cfg.codec.outputFile(0)))
+                  .isOk());
+  ASSERT_TRUE(launcher.waitLaunches(1));
+  // EXPECT from here on: the launcher must be released before returning.
+  EXPECT_TRUE(conn->send(fileRequest(msg::MsgType::kOpenBatchReq, 3,
+                                     cfg.codec.outputFile(5)))
+                  .isOk());
+  EXPECT_TRUE(conn->send(fileRequest(msg::MsgType::kReleaseReq, 4,
+                                     cfg.codec.outputFile(5)))
+                  .isOk());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(log.has(3)) << "the hit overtook the parked miss";
+  EXPECT_FALSE(log.has(4)) << "the release overtook the parked miss";
+
+  launcher.release();
+  EXPECT_EQ(log.waitFor(4).code, 0);
+  EXPECT_EQ(log.order(), (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(log.waitFor(3).intArg, 1) << "step 5 was resident";
+
+  // Once the shard is idle, the same hit is answered before send returns.
+  bool servedInline = false;
+  for (std::uint64_t id = 10; id < 200 && !servedInline; id += 2) {
+    ASSERT_TRUE(conn->send(fileRequest(msg::MsgType::kOpenBatchReq, id,
+                                       cfg.codec.outputFile(5)))
+                    .isOk());
+    servedInline = log.has(id);
+    EXPECT_EQ(log.waitFor(id).code, 0);
+    ASSERT_TRUE(conn->send(fileRequest(msg::MsgType::kReleaseReq, id + 1,
+                                       cfg.codec.outputFile(5)))
+                    .isOk());
+    EXPECT_EQ(log.waitFor(id + 1).code, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(servedInline);
+  const auto c = daemon->shardCounters()[0];
+  EXPECT_GT(c.inlineServed, 0u);
+  EXPECT_EQ(c.served, c.enqueued);
+  EXPECT_LE(c.batches, c.served);
+  conn->close();
+}
+
+TEST(DaemonInlineTest, PrefetchingContextHitsStayOnTheWorkers) {
+  // A prefetching agent may launch on a hit, so hits on a prefetch-enabled
+  // context are never served on the dispatching thread (here: this test
+  // thread, the in-proc sender). launch() must only run on workers.
+  ParkingLauncher launcher(/*startOpen=*/true);
+  auto daemon = oneShardDaemon(/*prefetch=*/true, &launcher, 8, 60);
+  const auto cfg = socketConfig();
+  ReplyLog log;
+  auto conn = daemon->connectInProc();
+  log.attach(*conn);
+  helloOk(*conn, log);
+
+  // A demand miss gives the agent its coverage, then a stride-1 sweep
+  // over resident steps lets it detect the pattern and prefetch ahead.
+  std::uint64_t id = 2;
+  ASSERT_TRUE(conn->send(fileRequest(msg::MsgType::kOpenBatchReq, id,
+                                     cfg.codec.outputFile(0)))
+                  .isOk());
+  EXPECT_EQ(log.waitFor(id).code, 0);
+  ASSERT_TRUE(launcher.waitLaunches(1));
+  for (StepIndex s = 8; s <= 60; ++s) {
+    ++id;
+    ASSERT_TRUE(conn->send(fileRequest(msg::MsgType::kOpenBatchReq, id,
+                                       cfg.codec.outputFile(s)))
+                    .isOk());
+    EXPECT_EQ(log.waitFor(id).code, 0) << "step " << s;
+  }
+  const auto threads = launcher.launchThreads();
+  EXPECT_GE(threads.size(), 2u) << "no hit reached the launcher";
+  for (const auto& t : threads) {
+    EXPECT_NE(t, std::this_thread::get_id()) << "launch() on the dispatcher";
+  }
+  EXPECT_EQ(daemon->shardCounters()[0].inlineServed, 0u);
+  conn->close();
+}
+
+TEST(DaemonInlineTest, StopRacingInlineHitsAnswersEveryRequest) {
+  // Four in-proc sessions flood hit + release pairs (served inline on
+  // their own threads, or queued when the shard is busy) while stop()
+  // joins the workers. Every request is answered: the queue drains on the
+  // claim holder once the workers are gone.
+  ParkingLauncher launcher(/*startOpen=*/true);
+  auto daemon = oneShardDaemon(/*prefetch=*/false, &launcher, 0, 15);
+  const auto cfg = socketConfig();
+  constexpr int kClients = 4;
+  std::vector<ReplyLog> logs(kClients);
+  std::vector<std::unique_ptr<msg::Transport>> conns;
+  for (int c = 0; c < kClients; ++c) {
+    conns.push_back(daemon->connectInProc());
+    logs[c].attach(*conns[c]);
+    helloOk(*conns[c], logs[c]);
+  }
+  std::atomic<bool> stopped{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> unanswered{0};
+  std::atomic<int> afterStop{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (std::uint64_t id = 2; !done.load(); id += 2) {
+        const auto file = cfg.codec.outputFile(static_cast<StepIndex>(id % 16));
+        const bool wasStopped = stopped.load();
+        if (!conns[c]->send(fileRequest(msg::MsgType::kOpenBatchReq, id, file))
+                 .isOk() ||
+            !conns[c]->send(fileRequest(msg::MsgType::kReleaseReq, id + 1, file))
+                 .isOk()) {
+          return;  // session closed: nothing more to answer
+        }
+        for (const auto want : {id, id + 1}) {
+          if (logs[c].waitFor(want).code != 0) unanswered.fetch_add(1);
+        }
+        if (wasStopped) afterStop.fetch_add(1);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  daemon->stop();
+  stopped.store(true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  done.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(unanswered.load(), 0);
+  EXPECT_GT(afterStop.load(), 0) << "nothing was served after stop()";
+  for (auto& conn : conns) conn->close();
+}
+
+TEST(DaemonInlineTest, StopSweepKeepsARequestQueuedBehindAnInlineClaim) {
+  // Session A's hit is served inline and its reply handler (running on
+  // A's sending thread, inside the daemon's reply flush) holds the claim.
+  // Session B's request queues behind it; stop() then joins the workers,
+  // whose final pass and sweep both find the shard claimed. The claim
+  // holder must serve B's request when it lets go.
+  ParkingLauncher launcher(/*startOpen=*/true);
+  auto daemon = oneShardDaemon(/*prefetch=*/false, &launcher, 5, 5);
+  const auto cfg = socketConfig();
+  const std::string file = cfg.codec.outputFile(5);
+
+  ReplyLog logB;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::thread::id senderA;
+  bool heldInline = false;   // A's handler is parked inside the flush
+  bool answeredA = false;    // A's hit came back (inline or not)
+  bool releaseA = false;
+  auto connA = daemon->connectInProc();
+  auto connB = daemon->connectInProc();
+  connA->setHandler([&](msg::Message&& m) {
+    std::unique_lock lock(mu);
+    if (m.type != msg::MsgType::kOpenBatchAck) return;
+    answeredA = true;
+    if (std::this_thread::get_id() == senderA) {
+      heldInline = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return releaseA; });
+    }
+    cv.notify_all();
+  });
+  msg::Message hello;
+  hello.type = msg::MsgType::kHello;
+  hello.context = "sock";
+  ASSERT_TRUE(connA->send(hello).isOk());
+  logB.attach(*connB);
+  helloOk(*connB, logB);
+
+  std::thread threadA;
+  // Lets A's handler go and joins its thread on every way out of the test.
+  struct Unpark {
+    std::function<void()> fn;
+    ~Unpark() { fn(); }
+  } unparkA{[&] {
+    {
+      std::lock_guard lock(mu);
+      releaseA = true;
+    }
+    cv.notify_all();
+    if (threadA.joinable()) threadA.join();
+  }};
+  for (std::uint64_t id = 2; id < 100 && !heldInline; ++id) {
+    if (threadA.joinable()) threadA.join();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    {
+      std::lock_guard lock(mu);
+      answeredA = false;
+    }
+    threadA = std::thread([&, id] {
+      {
+        std::lock_guard lock(mu);
+        senderA = std::this_thread::get_id();
+      }
+      (void)connA->send(fileRequest(msg::MsgType::kOpenBatchReq, id, file));
+    });
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return answeredA; }));
+  }
+  ASSERT_TRUE(heldInline) << "no hit of A was served inline";
+
+  ASSERT_TRUE(
+      connB->send(fileRequest(msg::MsgType::kOpenBatchReq, 500, file)).isOk());
+  EXPECT_FALSE(logB.has(500)) << "B overtook A's claim";
+  daemon->stop();
+  EXPECT_FALSE(logB.has(500));
+  unparkA.fn();
+  const auto reply = logB.waitFor(500);
+  EXPECT_EQ(reply.type, msg::MsgType::kOpenBatchAck);
+  EXPECT_EQ(reply.code, 0);
+  connA->close();
+  connB->close();
 }
 
 TEST_F(SocketDaemonTest, TraceToolRunsOverLiveStack) {
